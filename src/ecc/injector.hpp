@@ -116,8 +116,8 @@ struct InjectorConfig {
   /// of) the single/double Bernoulli rates above.
   double event_prob = 0.0;
   /// Poisson mean of the number of upset events per access window (the
-  /// campaign sets it to the same rate*exposure product event_prob is
-  /// derived from). When > 0 and an access draws an event, the event COUNT
+  /// rate*exposure product event_prob = 1 - exp(-event_lambda) is derived
+  /// from). When > 0 and an access draws an event, the event COUNT
   /// comes from a zero-truncated Poisson with this mean, so heavily
   /// accelerated campaigns (event_prob saturating toward 1) keep their
   /// multi-event windows instead of silently collapsing every window to a

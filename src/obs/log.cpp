@@ -88,8 +88,8 @@ void log(LogLevel level, std::string_view component, std::string_view msg) {
   line += ": ";
   line.append(msg.data(), msg.size());
   line += '\n';
-  // One write() so concurrent forked workers interleave per line, not
-  // per character (stdio buffering would not guarantee that on stderr).
+  // One write() so concurrent writers interleave per line, not per
+  // character (stdio buffering would not guarantee that on stderr).
   (void)!::write(STDERR_FILENO, line.data(), line.size());
 }
 

@@ -1,5 +1,5 @@
-// Leveled stderr logger for the service-side components (daemon, checkpoint
-// writer, multiproc worker diagnostics).
+// Leveled stderr logger for the service-side components (daemon and
+// checkpoint writer).
 //
 // Format (one write() per line, so concurrent processes interleave at line
 // granularity):

@@ -16,22 +16,6 @@ u64 histogram_bucket_max(std::size_t b) {
   return (u64{1} << b) - 1;
 }
 
-void HistogramData::merge(const HistogramData& other) {
-  if (other.count == 0) return;
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-    buckets[b] += other.buckets[b];
-  }
-  sum += other.sum;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-}
-
 u64 HistogramData::percentile(double q) const {
   if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -89,28 +73,6 @@ void Histogram::reset() {
   sum_.store(0, std::memory_order_relaxed);
   min_.store(~u64{0}, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
-}
-
-void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const MetricValue& m : other.metrics) {
-    auto it = std::lower_bound(
-        metrics.begin(), metrics.end(), m,
-        [](const MetricValue& a, const MetricValue& b) {
-          return a.name < b.name;
-        });
-    if (it == metrics.end() || it->name != m.name) {
-      metrics.insert(it, m);
-      continue;
-    }
-    if (it->kind != m.kind) {
-      throw std::logic_error("metrics merge: kind mismatch for " + m.name);
-    }
-    if (m.kind == MetricKind::kHistogram) {
-      it->hist.merge(m.hist);
-    } else {
-      it->value += m.value;
-    }
-  }
 }
 
 const MetricValue* MetricsSnapshot::find(std::string_view name) const {

@@ -1,5 +1,5 @@
 // Observability metrics: a lock-cheap registry of named Counters, Gauges,
-// and log2-bucketed Histograms, with deterministic snapshot + merge.
+// and log2-bucketed Histograms, with a deterministic snapshot.
 //
 // Design contract (mirrors the StatSet fold discipline in common/stats.hpp):
 //
@@ -9,10 +9,7 @@
 //  * References returned by counter()/gauge()/histogram() are stable for
 //    the registry's lifetime (metrics live in node-stable storage).
 //  * snapshot() produces a plain-data MetricsSnapshot ordered by metric
-//    name; merge() folds snapshots element-wise. Because every aggregate is
-//    a sum (or min/max) of u64s, the fold is associative and commutative:
-//    merging per-worker snapshots in any order yields identical bytes,
-//    the same discipline that keeps campaign rows layout-independent.
+//    name.
 //  * Metrics NEVER feed back into simulation: no RNG, no row content, no
 //    control flow depends on a metric value. Rows are byte-identical with
 //    metrics hot or cold by construction.
@@ -73,17 +70,14 @@ inline constexpr std::size_t kHistogramBuckets = 65;
 /// Inclusive upper bound of bucket b (the largest value it can hold).
 [[nodiscard]] u64 histogram_bucket_max(std::size_t b);
 
-/// Plain-data histogram aggregate: what a snapshot carries and what merge
-/// and percentile extraction operate on.
+/// Plain-data histogram aggregate: what a snapshot carries and what
+/// percentile extraction operates on.
 struct HistogramData {
   u64 buckets[kHistogramBuckets] = {};
   u64 count = 0;
   u64 sum = 0;
   u64 min = 0;  ///< meaningful only when count > 0
   u64 max = 0;  ///< meaningful only when count > 0
-
-  /// Element-wise fold; associative and commutative.
-  void merge(const HistogramData& other);
 
   /// Estimated value at quantile q in [0, 1]. Returns 0 for an empty
   /// histogram. Exact when the winning bucket spans a single value
@@ -129,11 +123,6 @@ struct MetricValue {
 /// Ordered (by name), plain-data view of a registry at one instant.
 struct MetricsSnapshot {
   std::vector<MetricValue> metrics;
-
-  /// Fold `other` into this snapshot: counters and gauges add, histograms
-  /// merge. Metrics present only in `other` are inserted (order by name is
-  /// preserved). Kind mismatches on the same name throw std::logic_error.
-  void merge(const MetricsSnapshot& other);
 
   /// Pointer into metrics for `name`, or nullptr.
   [[nodiscard]] const MetricValue* find(std::string_view name) const;

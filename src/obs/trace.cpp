@@ -118,7 +118,7 @@ u64 Tracer::dropped() const {
   return total_ - ring_.size();
 }
 
-std::string event_to_json(const TraceEvent& ev, u32 pid) {
+std::string event_to_json(const TraceEvent& ev) {
   std::string out = "{\"name\":\"" + json_escape(ev.name) +
                     "\",\"cat\":\"laec\",\"ph\":\"";
   out += ev.phase;
@@ -129,7 +129,7 @@ std::string event_to_json(const TraceEvent& ev, u32 pid) {
   if (ev.phase == 'i') {
     out += ",\"s\":\"t\"";  // instant scope: thread
   }
-  out += ",\"pid\":" + std::to_string(pid);
+  out += ",\"pid\":0";
   out += ",\"tid\":" + std::to_string(ev.tid);
   if (!ev.args.empty()) {
     out += ",\"args\":{";
@@ -154,20 +154,14 @@ std::string event_to_json(const TraceEvent& ev, u32 pid) {
   return out;
 }
 
-void Tracer::write_chrome_trace(std::ostream& out, u32 pid) const {
+void Tracer::write_chrome_trace(std::ostream& out) const {
   const std::vector<TraceEvent> evs = events();
   out << "{\"traceEvents\":[";
   for (std::size_t i = 0; i < evs.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << event_to_json(evs[i], pid);
+    out << (i == 0 ? "\n" : ",\n") << event_to_json(evs[i]);
   }
   out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\""
       << dropped() << "\"}}\n";
-}
-
-void Tracer::write_events_jsonl(std::ostream& out, u32 pid) const {
-  for (const TraceEvent& ev : events()) {
-    out << event_to_json(ev, pid) << '\n';
-  }
 }
 
 Tracer& Tracer::global() {
@@ -206,42 +200,10 @@ void Span::arg(std::string_view key, std::string_view v) {
   ev_.args.push_back(TraceArg{std::string(key), std::string(v), 0, false});
 }
 
-bool write_trace_file(const std::string& path, u32 pid) {
+bool write_trace_file(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  Tracer::global().write_chrome_trace(out, pid);
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-bool write_shard_events_file(const std::string& path, u32 pid) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  Tracer::global().write_events_jsonl(out, pid);
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-bool merge_trace_files(const std::vector<std::string>& shards,
-                       const std::vector<std::string>& parent_events,
-                       const std::string& out_path) {
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& line) {
-    if (line.empty()) return;
-    out << (first ? "\n" : ",\n") << line;
-    first = false;
-  };
-  for (const std::string& line : parent_events) emit(line);
-  for (const std::string& shard : shards) {
-    std::ifstream in(shard, std::ios::binary);
-    if (!in) continue;  // worker recorded nothing
-    std::string line;
-    while (std::getline(in, line)) emit(line);
-  }
-  out << "\n]}\n";
+  Tracer::global().write_chrome_trace(out);
   out.flush();
   return static_cast<bool>(out);
 }

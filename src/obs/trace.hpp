@@ -12,13 +12,6 @@
 //
 // When the ring fills, the oldest events are overwritten (flight-recorder
 // semantics) and dropped() reports how many were lost.
-//
-// Multi-process campaigns: each forked worker writes its events to
-// `<trace>.shard<j>.events` as JSON-lines (one complete Chrome event object
-// per line, pid = shard index + 1), and the parent stitches the shard files
-// plus its own events (pid 0) into one {"traceEvents":[...]} document with
-// merge_trace_files — concatenation, no JSON parsing, same spirit as the
-// row merge in runner/multiproc.
 #pragma once
 
 #include <atomic>
@@ -87,12 +80,9 @@ class Tracer {
   /// Events lost to ring overwrite since enable().
   [[nodiscard]] u64 dropped() const;
 
-  /// Render the ring as one complete Chrome trace JSON document.
-  void write_chrome_trace(std::ostream& out, u32 pid = 0) const;
-
-  /// Render the ring as JSON-lines: one complete Chrome event object per
-  /// line (the multi-process shard interchange format).
-  void write_events_jsonl(std::ostream& out, u32 pid) const;
+  /// Render the ring as one complete Chrome trace JSON document (one
+  /// process, pid 0).
+  void write_chrome_trace(std::ostream& out) const;
 
   [[nodiscard]] static Tracer& global();
 
@@ -131,23 +121,11 @@ class Span {
 };
 
 /// Serialize one event as a single-line JSON object (no trailing newline).
-[[nodiscard]] std::string event_to_json(const TraceEvent& ev, u32 pid);
+[[nodiscard]] std::string event_to_json(const TraceEvent& ev);
 
 /// Write the global tracer's ring to `path` as a complete Chrome trace
 /// document. Returns false (and leaves errno from the failed stream) on
 /// I/O error.
-[[nodiscard]] bool write_trace_file(const std::string& path, u32 pid = 0);
-
-/// Write the global tracer's ring to `path` in shard interchange form
-/// (JSON-lines of event objects with the given pid).
-[[nodiscard]] bool write_shard_events_file(const std::string& path, u32 pid);
-
-/// Stitch shard event files (JSON-lines, already carrying their pids) plus
-/// `parent_events` (pre-rendered JSON lines) into one Chrome trace document
-/// at `out_path`. Missing shard files are skipped (a worker that recorded
-/// nothing writes nothing). Returns false on I/O error writing `out_path`.
-[[nodiscard]] bool merge_trace_files(const std::vector<std::string>& shards,
-                                     const std::vector<std::string>& parent_events,
-                                     const std::string& out_path);
+[[nodiscard]] bool write_trace_file(const std::string& path);
 
 }  // namespace laec::obs

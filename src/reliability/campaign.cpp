@@ -1,14 +1,10 @@
 #include "reliability/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/deployment.hpp"
@@ -17,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reliability/schedule.hpp"
-#include "runner/multiproc.hpp"
 #include "sim/snapshot.hpp"
 #include "workloads/eembc.hpp"
 
@@ -147,26 +142,6 @@ TrialOutcome classify_trial(const runner::PointResult& r) {
   return TrialOutcome::kMasked;
 }
 
-double event_lambda_for(const CampaignSpec& spec, double fit_per_mbit,
-                        unsigned codeword_bits) {
-  // FIT/Mbit -> upsets per bit-hour -> accelerated upsets per word-hour.
-  const double per_bit_hour = fit_per_mbit * 1e-9 / (1024.0 * 1024.0);
-  const double per_word_hour =
-      per_bit_hour * static_cast<double>(codeword_bits) * spec.accel;
-  const double exposure_hours = static_cast<double>(spec.exposure_cycles) /
-                                (spec.freq_mhz * 1e6) / 3600.0;
-  return per_word_hour * exposure_hours;
-}
-
-double event_prob_for(const CampaignSpec& spec, double fit_per_mbit,
-                      unsigned codeword_bits) {
-  // P(at least one Poisson arrival during the exposure window). expm1
-  // keeps precision where 1 - exp(-x) would cancel to 0 for tiny rates;
-  // saturation to exactly 1.0 at extreme acceleration is the correct limit
-  // (the event COUNT then comes from InjectorConfig::event_lambda).
-  return -std::expm1(-event_lambda_for(spec, fit_per_mbit, codeword_bits));
-}
-
 unsigned target_codeword_bits(const core::SimConfig& cfg) {
   // The one definition attach_injector also uses: the Poisson rate is
   // normalized over exactly the bits the injector can flip.
@@ -252,7 +227,7 @@ struct CellState {
   core::SimConfig cfg;  ///< scheme + faults applied, seed left to run_sweep
   unsigned done = 0;
   bool finished = false;
-  std::shared_ptr<const GoldenCell> golden;  ///< lazily built, once per cell
+  std::shared_ptr<const GoldenCell> golden;  ///< shared across rate cells
   double lambda_scale = 0.0;  ///< accelerated upsets per exposure cycle
   unsigned word_bits = 0;     ///< targeted codec's codeword width
 };
@@ -356,22 +331,13 @@ runner::SweepPoint cell_point(const CellState& st, unsigned replicate) {
   return p;
 }
 
-/// Pass 1, lazily: one fault-free run of the (workload, scheme)'s kernel
-/// with the residency recorder on the targeted array, dropping full-state
-/// snapshots at the spec's cadence. Runs at most once per (workload, scheme)
-/// per process — every rate cell reuses the cached artifacts (trials
-/// amortize it further); deterministic, so every process of a sharded
+/// Pass 1: one fault-free run of a (workload, scheme)'s kernel with the
+/// residency recorder on the targeted array, dropping full-state snapshots
+/// at the spec's cadence. Deterministic, so every process of a sharded
 /// campaign reconstructs the identical windows and snapshots.
-void ensure_golden(CellState& st, const CampaignSpec& spec,
-                   const CampaignOptions& opts, GoldenCache& cache) {
-  if (st.golden != nullptr) return;
-  const auto key =
-      std::make_pair(st.res.cell.workload, st.res.cell.scheme);
-  if (const auto it = cache.find(key); it != cache.end()) {
-    obs::Registry::global().counter("campaign.golden_cache_hits").add();
-    st.golden = it->second;
-    return;
-  }
+std::shared_ptr<const GoldenCell> run_golden(const CellState& st,
+                                             const CampaignSpec& spec,
+                                             const CampaignOptions& opts) {
   obs::Span span("golden-run");
   span.arg("workload", st.res.cell.workload);
   span.arg("scheme", st.res.cell.scheme);
@@ -381,17 +347,47 @@ void ensure_golden(CellState& st, const CampaignSpec& spec,
                                        &rec, &g->snapshots);
   g->windows = rec.take_windows();
   g->mean_exposure = mem::mean_exposure_cycles(g->windows);
-  auto& reg = obs::Registry::global();
-  reg.counter("campaign.golden_runs").add();
-  auto& window_hist = reg.histogram("campaign.exposure_window_cycles");
+  auto& window_hist =
+      obs::Registry::global().histogram("campaign.exposure_window_cycles");
   for (const mem::AccessWindow& w : g->windows) {
     window_hist.record(w.gap_cycles);
   }
   span.arg("windows", static_cast<u64>(g->windows.size()));
   span.arg("snapshots", static_cast<u64>(g->snapshots.size()));
   span.arg("snapshot_bytes", g->snapshots.bytes());
-  st.golden = g;
-  cache.emplace(key, std::move(g));
+  return g;
+}
+
+/// Build the golden pass of every distinct (workload, scheme) in `states`
+/// up front — cells restored as finished included, since their exposure
+/// column comes from it too — as tasks on the campaign's thread budget,
+/// then hand each cell its shared artifacts. Runs once per (workload,
+/// scheme) per campaign: every other rate cell of the pair is a cache hit
+/// (trials amortize it further).
+void build_goldens(std::vector<CellState>& states, const CampaignSpec& spec,
+                   const CampaignOptions& opts, GoldenCache& cache) {
+  // The first cell of each key (grid order) and the cache slot it fills.
+  std::vector<std::pair<const CellState*, std::shared_ptr<const GoldenCell>*>>
+      firsts;
+  for (const CellState& st : states) {
+    const auto [it, fresh] =
+        cache.try_emplace({st.res.cell.workload, st.res.cell.scheme});
+    if (!fresh) continue;
+    // Throws for an unknown workload here, on the caller: pool tasks must
+    // not throw.
+    (void)workloads::kernel_by_name(st.res.cell.workload);
+    firsts.emplace_back(&st, &it->second);
+  }
+  runner::parallel_for(firsts.size(), opts.threads, [&](std::size_t i) {
+    *firsts[i].second = run_golden(*firsts[i].first, spec, opts);
+  });
+  auto& reg = obs::Registry::global();
+  reg.counter("campaign.golden_runs").add(firsts.size());
+  reg.counter("campaign.golden_cache_hits")
+      .add(states.size() - firsts.size());
+  for (CellState& st : states) {
+    st.golden = cache.at({st.res.cell.workload, st.res.cell.scheme});
+  }
 }
 
 /// One trial's disposition within a round.
@@ -471,6 +467,7 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
 
   CampaignSummary summary;
   GoldenCache golden_cache;
+  build_goldens(states, spec, opts, golden_cache);
 
   const auto snapshot_progress = [&states] {
     std::vector<CellProgress> out;
@@ -535,7 +532,6 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
     for (std::size_t si = 0; si < states.size(); ++si) {
       CellState& st = states[si];
       if (st.finished) continue;
-      ensure_golden(st, spec, opts, golden_cache);
       const unsigned bn =
           std::min<unsigned>(batch, spec.trials - st.done);
       std::vector<TrialPlan> plans;
@@ -641,9 +637,6 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
   summary.cells.reserve(states.size());
   if (opts.sink != nullptr) opts.sink->begin(campaign_row_headers());
   for (CellState& st : states) {
-    // A cell restored fully-finished never entered a round; its exposure
-    // column still comes from the (deterministic) golden run.
-    ensure_golden(st, spec, opts, golden_cache);
     st.res.mean_exposure_cycles = st.golden->mean_exposure;
     st.res.avf = st.res.events == 0
                      ? 0.0
@@ -658,111 +651,6 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
     summary.cells.push_back(std::move(st.res));
   }
   if (opts.sink != nullptr) opts.sink->end();
-  return summary;
-}
-
-namespace {
-
-/// The slice worker j runs: the sweep driver's shared subdivision policy,
-/// at cell rather than point granularity.
-CampaignOptions worker_options(const CampaignProcOptions& opts, unsigned j) {
-  CampaignOptions o = opts.worker;
-  const runner::WorkerShard ws = runner::proc_worker_shard(
-      opts.worker.shard_index, opts.worker.shard_count, opts.worker.threads,
-      opts.procs, j);
-  o.shard_index = ws.shard_index;
-  o.shard_count = ws.shard_count;
-  o.threads = ws.threads;
-  o.sink = nullptr;
-  return o;
-}
-
-int run_campaign_worker(const std::vector<CampaignCell>& cells,
-                        const CampaignSpec& spec,
-                        const CampaignProcOptions& opts, unsigned j,
-                        const std::string& rows_path,
-                        const std::string& meta_path) {
-  std::ofstream rows(rows_path, std::ios::trunc);
-  if (!rows) return 2;
-  const auto sink = report::make_row_writer(opts.format, rows);
-  if (sink == nullptr) return 2;
-
-  CampaignOptions o = worker_options(opts, j);
-  o.sink = sink.get();
-  const CampaignSummary sum = run_campaign(cells, spec, o);
-  rows.flush();
-  if (!rows) return 2;
-
-  std::ofstream meta(meta_path, std::ios::trunc);
-  meta << sum.cells_run << ' ' << sum.trials_run << ' ' << sum.failures
-       << '\n';
-  meta.flush();
-  if (!meta) return 2;
-  return 0;
-}
-
-}  // namespace
-
-CampaignProcSummary run_campaign_procs(const std::vector<CampaignCell>& cells,
-                                       const CampaignSpec& spec,
-                                       const CampaignProcOptions& opts,
-                                       std::ostream& rows_out) {
-  if (opts.procs == 0) {
-    throw std::invalid_argument("run_campaign_procs: procs must be >= 1");
-  }
-  if (opts.worker.sink != nullptr) {
-    throw std::invalid_argument(
-        "run_campaign_procs: rows flow through shard files; worker.sink "
-        "must be unset");
-  }
-  if (opts.worker.resume_from != nullptr || opts.worker.on_round ||
-      opts.worker.should_stop) {
-    throw std::invalid_argument(
-        "run_campaign_procs: checkpoint/resume hooks are single-process "
-        "(run the checkpointed campaign with procs=1)");
-  }
-
-  CampaignProcSummary summary;
-
-  if (opts.procs == 1) {
-    // No fork, no scratch files: the classic in-process path.
-    const auto sink = report::make_row_writer(opts.format, rows_out);
-    if (sink == nullptr) {
-      throw std::invalid_argument(
-          "run_campaign_procs: unknown row format \"" + opts.format + "\"");
-    }
-    CampaignOptions o = opts.worker;
-    o.sink = sink.get();
-    const CampaignSummary sum = run_campaign(cells, spec, o);
-    summary.cells_run = sum.cells_run;
-    summary.trials_run = sum.trials_run;
-    summary.failures = sum.failures;
-    return summary;
-  }
-
-  if (report::make_row_writer(opts.format, rows_out) == nullptr) {
-    throw std::invalid_argument("run_campaign_procs: unknown row format \"" +
-                                opts.format + "\"");
-  }
-
-  runner::ForkMergeOptions fm;
-  fm.procs = opts.procs;
-  fm.scratch_prefix = opts.scratch_prefix;
-  fm.csv_header = opts.format == "csv";
-  fm.trace_path = opts.trace_path;
-  const runner::ForkMergeSummary fms = runner::fork_workers_and_merge(
-      fm,
-      [&](unsigned j, const std::string& rows_path,
-          const std::string& meta_path) {
-        return run_campaign_worker(cells, spec, opts, j, rows_path,
-                                   meta_path);
-      },
-      rows_out);
-  summary.cells_run = static_cast<std::size_t>(fms.meta[0]);
-  summary.trials_run = fms.meta[1];
-  summary.failures = fms.meta[2];
-  summary.failed_workers = fms.failed_workers;
-  summary.worker_diagnostics = fms.diagnostics;
   return summary;
 }
 

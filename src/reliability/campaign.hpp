@@ -12,10 +12,10 @@
 //     rate with that node's characteristic MBU shape mix);
 //   * fault arrivals are a Poisson process in device time, accelerated by
 //     spec.accel so upsets actually land inside a few hundred microseconds
-//     of simulated execution: the per-access event probability is
-//     1 - exp(-rate_bit * codeword_bits * accel * exposure), the chance at
-//     least one (accelerated) upset struck the word during its exposure
-//     window; the event's spatial shape (single / adjacent-double /
+//     of simulated execution: each word's event count over an exposure
+//     window is Poisson with mean rate_bit * codeword_bits * accel * gap,
+//     where gap is the window's length in the golden run (see
+//     reliability/schedule.hpp); the event's spatial shape (single / adjacent-double /
 //     adjacent-triple / clustered) is drawn from the cell's MBU pattern
 //     table and lands on live codeword bits of the targeted cache;
 //   * every cell runs N independent trials (SweepPoint replicates — same
@@ -29,16 +29,14 @@
 //     its CI is tight enough.
 //
 // Determinism contract (same as the sweep runner's): rows are identical at
-// any --threads, and run_campaign_procs merges per-process shard files
-// byte-identically to a single-process run. Trial seeds derive from
-// (base_seed, workload identity, trial index) — never from thread or
-// process layout — and the stopping rule sees each cell's own trials only,
-// so sharding cells across machines/processes cannot change any cell's
-// trajectory.
+// any --threads and the union of --shard slices is the unsharded campaign.
+// Trial seeds derive from (base_seed, workload identity, trial index) —
+// never from thread or shard layout — and the stopping rule sees each
+// cell's own trials only, so sharding cells across machines cannot change
+// any cell's trajectory.
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -80,12 +78,6 @@ struct CampaignSpec {
   /// Fault-process time acceleration. 1e16 makes a ~1000 FIT/Mbit storm
   /// land a handful of events on a typical kernel trial.
   double accel = 1e16;
-  /// Legacy fixed exposure window, in cycles. Campaign trials now measure
-  /// true per-word inter-access gaps from the golden run (see
-  /// reliability/schedule.hpp); this knob only feeds the historical
-  /// event_prob_for/event_lambda_for helpers (kept for tests and direct
-  /// injector users) and remains part of the campaign identity hash.
-  unsigned exposure_cycles = 1000;
   double freq_mhz = 150.0;  ///< LEON4-class clock (Table I)
   /// Trials per cell (the maximum, when the stopping rule is armed).
   unsigned trials = 96;
@@ -189,21 +181,6 @@ enum class TrialOutcome {
   return o == TrialOutcome::kSdc || o == TrialOutcome::kDataLoss;
 }
 
-/// The per-access upset-event probability the Poisson model yields for a
-/// codeword of `codeword_bits` under `fit_per_mbit` accelerated by
-/// spec.accel (see file comment).
-[[nodiscard]] double event_prob_for(const CampaignSpec& spec,
-                                    double fit_per_mbit,
-                                    unsigned codeword_bits);
-
-/// The raw Poisson mean behind event_prob_for: accelerated upset events per
-/// codeword per exposure window. Fed to InjectorConfig::event_lambda so
-/// saturated acceleration (event_prob -> 1) still draws multi-event windows
-/// instead of collapsing them to single upsets.
-[[nodiscard]] double event_lambda_for(const CampaignSpec& spec,
-                                      double fit_per_mbit,
-                                      unsigned codeword_bits);
-
 /// Codeword width (data + check bits) of the cache level cfg's storm
 /// targets — delegates to core::injector_word_bits, the same definition
 /// attach_injector sizes the flip universe with.
@@ -284,7 +261,8 @@ struct CellProgress {
 };
 
 struct CampaignOptions {
-  /// Worker threads of the inner trial sweeps; 0 = hardware concurrency.
+  /// Worker threads of the golden pass and the trial sweeps (one budget,
+  /// runner::parallel_for); 0 = hardware concurrency.
   unsigned threads = 0;
   /// Horizontal sharding over CELLS: this process runs cells with
   /// index % shard_count == shard_index.
@@ -339,36 +317,5 @@ struct CampaignSummary {
     const CampaignOptions& opts = {}) {
   return run_campaign(grid.cells(), spec, opts);
 }
-
-/// Multi-process campaign sharding, the runner::run_sweep_procs shape: the
-/// parent forks opts.procs workers, worker j runs the cells of sub-shard
-/// (I + j*N of N*procs), streams its CELL rows to a private shard file,
-/// and the parent round-robin-merges the files byte-identically to a
-/// --procs=1 run of the same slice.
-struct CampaignProcOptions {
-  unsigned procs = 1;
-  /// Per-worker options (threads, base_seed, the parent's own shard).
-  /// `sink` must be null — rows flow through shard files.
-  CampaignOptions worker;
-  std::string format = "csv";  ///< "csv" or "jsonl"/"json"
-  /// Scratch prefix for shard files; empty picks a unique tmp-dir prefix.
-  std::string scratch_prefix;
-  /// Merged Chrome trace output path (see runner::ForkMergeOptions).
-  std::string trace_path;
-};
-
-struct CampaignProcSummary {
-  std::size_t cells_run = 0;
-  u64 trials_run = 0;
-  u64 failures = 0;
-  unsigned failed_workers = 0;
-  /// One human-readable line per failed worker (see ForkMergeSummary).
-  std::vector<std::string> worker_diagnostics;
-};
-
-CampaignProcSummary run_campaign_procs(const std::vector<CampaignCell>& cells,
-                                       const CampaignSpec& spec,
-                                       const CampaignProcOptions& opts,
-                                       std::ostream& rows_out);
 
 }  // namespace laec::reliability

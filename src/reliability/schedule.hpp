@@ -28,8 +28,8 @@ namespace laec::reliability {
 
 /// Accelerated Poisson mean per cycle of exposure for one codeword:
 /// multiply by a window's gap_cycles to get that window's event rate.
-/// Same FIT -> device-time normalization as event_lambda_for, with the
-/// fixed spec.exposure_cycles stand-in replaced by true per-window gaps.
+/// FIT/Mbit -> upsets per bit-hour, scaled by the codeword width and
+/// spec.accel, over spec.freq_mhz cycles per microsecond.
 [[nodiscard]] double window_lambda_scale(const CampaignSpec& spec,
                                          double fit_per_mbit,
                                          unsigned codeword_bits);

@@ -349,6 +349,32 @@ std::vector<std::string> to_row(const PointResult& r) {
           r.self_check_ok ? "ok" : "FAIL"};
 }
 
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& body) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned requested = threads == 0 ? hw : threads;
+  const unsigned n_threads = static_cast<unsigned>(
+      std::min<std::size_t>(requested, std::max<std::size_t>(1, n)));
+
+  std::atomic<std::size_t> cursor{0};
+  const auto worker = [&] {
+    for (;;) {
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      body(i);
+    }
+  };
+
+  if (n_threads <= 1) {
+    worker();
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(n_threads);
+  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
+  for (auto& t : pool) t.join();
+}
+
 SweepSummary run_sweep(const std::vector<SweepPoint>& points,
                        const SweepOptions& opts) {
   if (opts.shard_count == 0 || opts.shard_index >= opts.shard_count) {
@@ -409,51 +435,32 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
     }
   };
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned requested = opts.threads == 0 ? hw : opts.threads;
-  const unsigned n_threads = static_cast<unsigned>(
-      std::min<std::size_t>(requested, std::max<std::size_t>(1, mine.size())));
-
-  std::atomic<std::size_t> cursor{0};
   // Per-point wall time feeds the heartbeat's p50/p99 (tracer on or off);
   // the clock reads sit at point granularity, never inside the sim loop.
   obs::Histogram& point_us =
       obs::Registry::global().histogram("sweep.point_us");
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= mine.size()) return;
-      const SweepPoint& p = *mine[i];
-      obs::Span span("trial");
-      if (span.live()) {
-        span.arg("workload", p.workload);
-        span.arg("replicate", static_cast<u64>(p.replicate));
-        if (p.resume_from != nullptr) {
-          span.arg("ff_ordinal", p.resume_from->ordinal);
-        }
+  parallel_for(mine.size(), opts.threads, [&](std::size_t i) {
+    const SweepPoint& p = *mine[i];
+    obs::Span span("trial");
+    if (span.live()) {
+      span.arg("workload", p.workload);
+      span.arg("replicate", static_cast<u64>(p.replicate));
+      if (p.resume_from != nullptr) {
+        span.arg("ff_ordinal", p.resume_from->ordinal);
       }
-      const auto t0 = std::chrono::steady_clock::now();
-      PointResult r = run_point(p, opts.base_seed);
-      point_us.record(static_cast<u64>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-      span.close();
-      std::lock_guard<std::mutex> lock(emit_mutex);
-      summary.results[i] = std::move(r);
-      done[i] = 1;
-      drain();
     }
-  };
-
-  if (n_threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+    const auto t0 = std::chrono::steady_clock::now();
+    PointResult r = run_point(p, opts.base_seed);
+    point_us.record(static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+    span.close();
+    std::lock_guard<std::mutex> lock(emit_mutex);
+    summary.results[i] = std::move(r);
+    done[i] = 1;
+    drain();
+  });
 
   if (opts.sink != nullptr) opts.sink->end();
   return summary;

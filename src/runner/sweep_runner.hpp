@@ -192,6 +192,15 @@ struct SweepSummary {
     const SweepPoint& point, u64 base_seed, mem::ResidencyRecorder* recorder,
     sim::SnapshotStore* snapshots = nullptr);
 
+/// The thread pool behind run_sweep and the campaign's golden pass: call
+/// body(i) for each i in [0, n) on up to `threads` std::threads (0 =
+/// hardware concurrency, never more than n) that pull indices from a shared
+/// atomic cursor, so uneven tasks do not leave threads idle. One thread
+/// runs inline on the caller. `body` must not throw; callers that need a
+/// deterministic order write results into per-index slots.
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& body);
+
 /// Run `points` under `opts`. Throws std::out_of_range for unknown
 /// workload names and std::invalid_argument for bad shard options.
 [[nodiscard]] SweepSummary run_sweep(const std::vector<SweepPoint>& points,

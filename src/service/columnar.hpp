@@ -84,12 +84,4 @@ class ColumnarWriter final : public report::RowWriter {
 /// dictionary index out of range.
 u64 read_columnar(std::istream& in, report::RowWriter& out);
 
-/// Parse canonical CSV (as report::CsvWriter emits it: minimal quoting,
-/// '"'-doubling, '\n' row terminator) and replay header + rows into
-/// `out`. The exact inverse of CsvWriter's escaping, so
-/// csv -> csv_to_rows -> CsvWriter reproduces the input byte-for-byte;
-/// it is how merged multi-process CSV streams convert to columnar.
-/// Returns the data-row count. Throws WireError on malformed CSV.
-u64 csv_to_rows(std::istream& csv, report::RowWriter& out);
-
 }  // namespace laec::service

@@ -269,8 +269,8 @@ bool serve_connection(int fd, MpmcQueue<WorkItem>& queue,
     }
   }
 
-  // Stream rows in grid order: wait for slot g, emit, advance. This is
-  // the fork_workers_and_merge round-robin discipline over a socket.
+  // Stream rows in grid order: wait for slot g, emit, advance — run_sweep's
+  // reorder window over a socket.
   write_frame(fd, FrameType::kRowHeader,
               encode_string_list(reliability::campaign_row_headers()));
   DoneSummary done;

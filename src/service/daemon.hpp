@@ -8,14 +8,14 @@
 // derive from workload identity + trial index, and the stopping rule sees
 // only the cell's own trials), a cell computed by any daemon worker is
 // bit-identical to the same cell in a local `laec_cli campaign` run — so
-// the streamed rows are byte-identical to `--procs=N` local output, and
-// multiple client hosts/processes can shard one campaign by submitting
+// the streamed rows are byte-identical to local output at any --threads,
+// and multiple client hosts/processes can shard one campaign by submitting
 // complementary --shard slices to the same daemon.
 //
 // In-order emission IS the determinism contract: workers finish cells in
 // any order, but the connection thread emits slot g only after slots
-// 0..g-1 — the same round-robin discipline runner::fork_workers_and_merge
-// uses for shard files, applied to a socket.
+// 0..g-1 — the same reorder window run_sweep uses for its rows, applied to
+// a socket.
 #pragma once
 
 #include <atomic>

@@ -1,0 +1,21 @@
+# Run a command and require an exact exit status (CTest alone only knows
+# zero / non-zero):
+#
+#   cmake -DEXPECT=<status> -P expect_exit.cmake -- <program> [args...]
+set(cmd)
+set(collect OFF)
+math(EXPR last "${CMAKE_ARGC} - 1")
+foreach(i RANGE ${last})
+  if(collect)
+    list(APPEND cmd "${CMAKE_ARGV${i}}")
+  elseif("${CMAKE_ARGV${i}}" STREQUAL "--")
+    set(collect ON)
+  endif()
+endforeach()
+if(NOT cmd)
+  message(FATAL_ERROR "expect_exit.cmake: no command after --")
+endif()
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc)
+if(NOT "${rc}" STREQUAL "${EXPECT}")
+  message(FATAL_ERROR "`${cmd}` exited ${rc}, expected ${EXPECT}")
+endif()

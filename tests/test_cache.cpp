@@ -3,19 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string_view>
 
 #include "ecc/registry.hpp"
 
 namespace laec::mem {
 namespace {
 
-CacheConfig small_cfg(ecc::CodecKind codec = ecc::CodecKind::kNone) {
+CacheConfig small_cfg(std::string_view codec = "none") {
   CacheConfig c;
   c.name = "t";
   c.size_bytes = 1024;
   c.line_bytes = 32;
   c.ways = 2;
-  c.codec = ecc::make_codec(codec);  // enum shim onto the registry
+  c.codec = ecc::make_codec(codec);
   return c;
 }
 
@@ -48,7 +49,7 @@ TEST(Cache, ReadExtractsBytes) {
 }
 
 TEST(Cache, SubWordWriteMerges) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   std::vector<u8> data(32, 0);
   c.fill(0x300, data.data(), false);
   c.write(0x308, 4, 0x11223344, true);
@@ -105,7 +106,7 @@ TEST(Cache, DirtyEvictionReturnsData) {
 }
 
 TEST(Cache, SecdedCorrectsInjectedSingleBit) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0);
@@ -123,7 +124,7 @@ TEST(Cache, SecdedCorrectsInjectedSingleBit) {
 }
 
 TEST(Cache, SecdedDetectsDoubleBit) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0x77);
@@ -136,7 +137,7 @@ TEST(Cache, SecdedDetectsDoubleBit) {
 }
 
 TEST(Cache, ParityDetectsSingleBit) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kParity));
+  SetAssocCache c(small_cfg("parity-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0x10);
@@ -147,7 +148,7 @@ TEST(Cache, ParityDetectsSingleBit) {
 }
 
 TEST(Cache, CheckBitFlipAlsoCorrected) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0x42);
@@ -188,7 +189,7 @@ TEST(Cache, WritebacksLeaveInCorrectedViewEvenWithoutScrub) {
   // writeback read re-runs the codec (as hardware does): dirty evictions,
   // flush_dirty and peek_line must all deliver the corrected view, never
   // the raw flipped bits.
-  CacheConfig cfg = small_cfg(ecc::CodecKind::kSecded);
+  CacheConfig cfg = small_cfg("secded-39-32");
   cfg.scrub_on_correct = false;
   SetAssocCache c(cfg);
   std::vector<u8> data(32, 0);
@@ -222,7 +223,7 @@ TEST(Cache, SubWordWriteCorrectsBeforeMergingWithoutScrub) {
   // A standing (unscrubbed) correctable error must not be re-encoded under
   // fresh check bits by a byte store's read-modify-write — that would
   // launder the flip into a valid codeword no later read could repair.
-  CacheConfig cfg = small_cfg(ecc::CodecKind::kSecded);
+  CacheConfig cfg = small_cfg("secded-39-32");
   cfg.scrub_on_correct = false;
   SetAssocCache c(cfg);
   std::vector<u8> data(32, 0);

@@ -2,7 +2,7 @@
 //  * every registered name constructs and its codec round-trips data;
 //  * unknown names fail with a clear error naming the known schemes;
 //  * user registration is a one-liner and immediately constructible;
-//  * enum round-trips (CodecKind / CheckStatus / EccPolicy / HazardRule)
+//  * enum round-trips (CheckStatus / EccPolicy / HazardRule)
 //    are exhaustive in both directions — no "?" placeholders;
 //  * EccDeployment::parse covers policy keys, codec keys and
 //    placement:codec combinations.
@@ -69,11 +69,12 @@ TEST(CodecRegistry, CapabilitiesMatchSchemes) {
       << "SEC-DAEC may miscorrect non-adjacent doubles";
 }
 
-TEST(CodecRegistry, EnumShimMapsToThirtyTwoBitDefaults) {
-  EXPECT_EQ(ecc::make_codec(ecc::CodecKind::kNone)->check_bits(), 0u);
-  EXPECT_EQ(ecc::make_codec(ecc::CodecKind::kParity)->check_bits(), 1u);
-  EXPECT_EQ(ecc::make_codec(ecc::CodecKind::kSecded)->name(),
-            "secded-39-32");
+TEST(CodecRegistry, ShortSpellingsAliasThirtyTwoBitDefaults) {
+  EXPECT_EQ(ecc::make_codec("none")->check_bits(), 0u);
+  EXPECT_EQ(ecc::make_codec("parity")->check_bits(), 1u);
+  EXPECT_EQ(ecc::make_codec("parity-32")->check_bits(), 1u);
+  EXPECT_EQ(ecc::make_codec("secded")->name(), "secded-39-32");
+  EXPECT_EQ(ecc::make_codec("secded-39-32")->name(), "secded-39-32");
 }
 
 TEST(CodecRegistry, UserRegistrationIsOneLine) {
@@ -93,18 +94,6 @@ TEST(CodecRegistry, UserRegistrationIsOneLine) {
 // ---------------------------------------------------------------------------
 // Exhaustive enum string round-trips (no "?" placeholders anywhere).
 // ---------------------------------------------------------------------------
-
-TEST(EnumRoundTrips, CodecKind) {
-  for (const auto k : {ecc::CodecKind::kNone, ecc::CodecKind::kParity,
-                       ecc::CodecKind::kSecded}) {
-    const auto s = to_string(k);
-    EXPECT_EQ(s.find('?'), std::string_view::npos);
-    const auto back = ecc::codec_kind_from_string(s);
-    ASSERT_TRUE(back.has_value()) << s;
-    EXPECT_EQ(*back, k);
-  }
-  EXPECT_FALSE(ecc::codec_kind_from_string("bogus").has_value());
-}
 
 TEST(EnumRoundTrips, CheckStatus) {
   for (const auto st :

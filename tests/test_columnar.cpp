@@ -140,43 +140,6 @@ TEST(Columnar, MixedNumericAndDictColumnsPerChunk) {
   EXPECT_EQ(decode_to_csv(col_of(kHeaders, rows, 4)), csv_of(kHeaders, rows));
 }
 
-TEST(Columnar, CsvToRowsIsTheExactInverseOfCsvWriter) {
-  const Rows rows = tricky_rows();
-  const std::string csv = csv_of(kHeaders, rows);
-  std::istringstream in(csv);
-  std::ostringstream out;
-  report::CsvWriter w(out);
-  const u64 n = csv_to_rows(in, w);
-  w.end();
-  EXPECT_EQ(out.str(), csv);
-  EXPECT_EQ(n, rows.size());
-}
-
-TEST(Columnar, CsvToRowsFeedsColumnarIdenticallyToDirectWrites) {
-  // The multi-process merge path: CSV text -> csv_to_rows -> ColumnarWriter
-  // must produce the same bytes as writing the rows to ColumnarWriter
-  // directly (this is what makes --procs=N --format=col deterministic).
-  const Rows rows = tricky_rows();
-  std::istringstream in(csv_of(kHeaders, rows));
-  std::ostringstream out;
-  ColumnarWriter w(out);
-  (void)csv_to_rows(in, w);
-  w.end();
-  EXPECT_EQ(out.str(), col_of(kHeaders, rows));
-}
-
-TEST(Columnar, CsvToRowsRejectsMalformedCsv) {
-  report::CsvWriter sink(std::cout);
-  {
-    std::istringstream in("a,b\n\"unterminated");
-    EXPECT_THROW((void)csv_to_rows(in, sink), WireError);
-  }
-  {
-    std::istringstream in("a,b\n1,2");  // no trailing newline
-    EXPECT_THROW((void)csv_to_rows(in, sink), WireError);
-  }
-}
-
 TEST(Columnar, RejectsCorruptStreams) {
   const std::string good = col_of(kHeaders, tricky_rows());
   report::CsvWriter sink(std::cout);

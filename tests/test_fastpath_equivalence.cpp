@@ -7,19 +7,12 @@
 // (SimConfig::force_generic_ecc_path) must produce bit-identical results —
 // same cycles, same ECC event counts, same CSV row, same self-check
 // verdict. This suite runs representative kernels under every registered
-// 32-bit codec with fault injection enabled and asserts exactly that, then
-// checks the multi-process sweep driver merges rows byte-identically at
-// --procs=1/2/4.
+// 32-bit codec with fault injection enabled and asserts exactly that.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "ecc/registry.hpp"
-#include "runner/multiproc.hpp"
 #include "runner/sweep_runner.hpp"
 
 namespace laec {
@@ -152,93 +145,6 @@ TEST(FastPathEquivalence, CleanRunMatchesGenericPath) {
         << "row " << i;
   }
   EXPECT_EQ(fast.totals.items(), slow.totals.items());
-}
-
-TEST(FastPathEquivalence, ProcsMergeIsByteIdentical) {
-  // The multi-process driver must reproduce the in-process row stream
-  // byte-for-byte at any process count, injection included.
-  const auto points = equivalence_points(false);
-  std::string reference;
-  for (const unsigned procs : {1u, 2u, 4u}) {
-    runner::ProcOptions opts;
-    opts.procs = procs;
-    opts.format = "csv";
-    opts.worker.threads = 1;
-    std::ostringstream out;
-    const auto summary = runner::run_sweep_procs(points, opts, out);
-    EXPECT_EQ(summary.failed_workers, 0u) << "procs=" << procs;
-    EXPECT_EQ(summary.points_run, points.size()) << "procs=" << procs;
-    EXPECT_GT(summary.cycles, 0u);
-    if (procs == 1) {
-      reference = out.str();
-      ASSERT_FALSE(reference.empty());
-    } else {
-      EXPECT_EQ(out.str(), reference) << "procs=" << procs;
-    }
-  }
-}
-
-TEST(FastPathEquivalence, MergeKeepsSurvivorRowsWhenOneShardDiesEarly) {
-  // A worker that died early leaves a short (or empty) shard file; the
-  // merge must still emit every row the surviving workers finished, in
-  // rotation order, instead of stopping at the first exhausted file.
-  namespace fs = std::filesystem;
-  const std::string prefix =
-      (fs::temp_directory_path() / "laec-merge-test").string();
-  const std::vector<std::string> paths = {prefix + ".0", prefix + ".1",
-                                          prefix + ".2"};
-  const std::vector<std::vector<std::string>> rows = {
-      {"h", "a0"},             // died after one row
-      {"h", "b0", "b1", "b2"},
-      {"h", "c0", "c1", "c2"},
-  };
-  for (std::size_t j = 0; j < paths.size(); ++j) {
-    std::ofstream f(paths[j], std::ios::trunc);
-    for (const auto& r : rows[j]) f << r << '\n';
-  }
-  std::ostringstream out;
-  runner::merge_shard_rows(paths, /*csv_header=*/true, out);
-  EXPECT_EQ(out.str(), "h\na0\nb0\nc0\nb1\nc1\nb2\nc2\n");
-
-  // Shard 0 empty (worker died before flushing anything): the header must
-  // come from the first shard that has one. A torn final line (no trailing
-  // newline — a worker killed mid-write) is dropped, not merged corrupt.
-  {
-    std::ofstream(paths[0], std::ios::trunc);
-    std::ofstream f1(paths[1], std::ios::trunc);
-    f1 << "h\nb0\nb1\n";
-    f1.close();
-    std::ofstream f2(paths[2], std::ios::trunc);
-    f2 << "h\nc0\nc1-torn";  // no trailing newline
-    f2.close();
-    std::ostringstream out2;
-    runner::merge_shard_rows(paths, /*csv_header=*/true, out2);
-    EXPECT_EQ(out2.str(), "h\nb0\nc0\nb1\n");
-  }
-  for (const auto& p : paths) std::remove(p.c_str());
-}
-
-TEST(FastPathEquivalence, ProcsComposesWithOuterShard) {
-  // --shard=I/N further subdivided across workers: every worker slice is a
-  // subset of the parent shard, and the merged rows equal the parent
-  // shard's in-process rows.
-  const auto points = equivalence_points(false);
-  for (unsigned shard = 0; shard < 2; ++shard) {
-    runner::ProcOptions in_proc;
-    in_proc.procs = 1;
-    in_proc.worker.threads = 1;
-    in_proc.worker.shard_index = shard;
-    in_proc.worker.shard_count = 2;
-    std::ostringstream ref;
-    (void)runner::run_sweep_procs(points, in_proc, ref);
-
-    runner::ProcOptions forked = in_proc;
-    forked.procs = 3;
-    std::ostringstream merged;
-    const auto summary = runner::run_sweep_procs(points, forked, merged);
-    EXPECT_EQ(summary.failed_workers, 0u);
-    EXPECT_EQ(merged.str(), ref.str()) << "shard " << shard << "/2";
-  }
 }
 
 }  // namespace

@@ -126,25 +126,6 @@ TEST(PruneEquiv, CsvBytesIdenticalAcrossThreadCounts) {
   EXPECT_EQ(campaign_csv(grid, spec, true, 8), ref);
 }
 
-TEST(PruneEquiv, ProcsMergeIdenticalAcrossPruneModes) {
-  const ecc::MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
-  const auto cells = grid_for({"laec", "secded-39-32"}, mix).cells();
-  CampaignSpec spec = spec_for(core::InjectTarget::kDl1, 1e15, 8);
-  std::string out[2];
-  for (int i = 0; i < 2; ++i) {
-    spec.prune = i == 0;
-    CampaignProcOptions popts;
-    popts.procs = 2;
-    popts.worker.threads = 1;
-    std::ostringstream os;
-    const auto sum = run_campaign_procs(cells, spec, popts, os);
-    EXPECT_EQ(sum.failed_workers, 0u);
-    out[i] = os.str();
-  }
-  EXPECT_FALSE(out[0].empty());
-  EXPECT_EQ(out[0], out[1]);
-}
-
 TEST(PruneEquiv, StoppingRuleFiresIdenticallyUnderPruning) {
   // Early stopping consumes per-batch severity counts; a pruned batch must
   // trip the rule at exactly the same trial count.

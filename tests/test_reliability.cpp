@@ -1,11 +1,10 @@
 // Reliability campaign engine tests:
 //  * Wilson interval / rate-estimator arithmetic (pure functions);
 //  * trial outcome classification and its severity precedence;
-//  * the Poisson -> per-access event probability bridge;
+//  * the FIT -> per-cycle Poisson rate bridge;
 //  * campaign grid expansion and validation;
-//  * determinism: identical FIT/CI rows at any thread count and across
-//    the multi-process driver (--procs), the sweep-runner contract
-//    extended to campaigns;
+//  * determinism: identical FIT/CI rows (and golden-run accounting) at any
+//    thread count, the sweep-runner contract extended to campaigns;
 //  * CI width monotonically shrinking with the trial count, and the
 //    sequential stopping rule ending cells early.
 #include "reliability/campaign.hpp"
@@ -15,7 +14,10 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
+#include "obs/metrics.hpp"
+#include "reliability/schedule.hpp"
 #include "reliability/stats.hpp"
 #include "report/sink.hpp"
 
@@ -186,22 +188,21 @@ TEST(ClassifyTrial, SeverityLadder) {
 
 // ------------------------------------------------------- Poisson bridge --
 
-TEST(EventProb, MonotoneInRateAccelAndWordWidth) {
+TEST(WindowLambdaScale, MonotoneInRateAccelAndWordWidth) {
   CampaignSpec spec;
-  const double base = event_prob_for(spec, 1000.0, 39);
+  const double base = window_lambda_scale(spec, 1000.0, 39);
   EXPECT_GT(base, 0.0);
-  EXPECT_LT(base, 1.0);
-  EXPECT_GT(event_prob_for(spec, 2000.0, 39), base);
-  EXPECT_GT(event_prob_for(spec, 1000.0, 45), base);
+  EXPECT_GT(window_lambda_scale(spec, 2000.0, 39), base);
+  EXPECT_GT(window_lambda_scale(spec, 1000.0, 45), base);
   CampaignSpec faster = spec;
   faster.accel *= 10.0;
-  EXPECT_GT(event_prob_for(faster, 1000.0, 39), base);
+  EXPECT_GT(window_lambda_scale(faster, 1000.0, 39), base);
   CampaignSpec idle = spec;
   idle.accel = 0.0;
-  EXPECT_DOUBLE_EQ(event_prob_for(idle, 1000.0, 39), 0.0);
+  EXPECT_DOUBLE_EQ(window_lambda_scale(idle, 1000.0, 39), 0.0);
 }
 
-TEST(EventProb, TargetCodewordBitsFollowTheDeployedCodec) {
+TEST(WindowLambdaScale, TargetCodewordBitsFollowTheDeployedCodec) {
   core::SimConfig cfg;
   cfg.set_scheme("laec");
   EXPECT_EQ(target_codeword_bits(cfg), 39u);  // secded-39-32
@@ -309,24 +310,28 @@ TEST(Campaign, RowsAreByteIdenticalAtOneAndEightThreads) {
   const std::string t8 = campaign_csv(grid, spec, 8);
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, t8);
-}
 
-TEST(Campaign, ProcsMergeByteIdenticalToSingleProcess) {
-  const auto cells = small_grid().cells();
-  const auto spec = small_spec(10);
-  std::string out[2];
+  // Two rates over two (workload, scheme) keys: the pooled golden pass runs
+  // each key once and every other rate cell of the key is a cache hit, at
+  // any thread count.
+  CampaignGrid two_rate = small_grid();
+  const ecc::MbuPatternTable mix{0.2, 0.6, 0.15, 0.05};
+  two_rate.rates({{"cool", 100.0, mix}, {"hot", 1000.0, mix}});
+  const std::size_t cells = two_rate.cells().size();
+  const u64 keys = 2;
+  ASSERT_EQ(cells, 4u);
+  auto& reg = obs::Registry::global();
+  std::string rows[2];
   for (int i = 0; i < 2; ++i) {
-    CampaignProcOptions popts;
-    popts.procs = i == 0 ? 1 : 4;
-    popts.worker.threads = 1;
-    std::ostringstream os;
-    const auto sum = run_campaign_procs(cells, spec, popts, os);
-    EXPECT_EQ(sum.failed_workers, 0u);
-    EXPECT_EQ(sum.cells_run, cells.size());
-    out[i] = os.str();
+    const u64 runs0 = reg.counter("campaign.golden_runs").value();
+    const u64 hits0 = reg.counter("campaign.golden_cache_hits").value();
+    rows[i] = campaign_csv(two_rate, spec, i == 0 ? 1 : 8);
+    EXPECT_EQ(reg.counter("campaign.golden_runs").value() - runs0, keys);
+    EXPECT_EQ(reg.counter("campaign.golden_cache_hits").value() - hits0,
+              cells - keys);
   }
-  EXPECT_FALSE(out[0].empty());
-  EXPECT_EQ(out[0], out[1]);
+  EXPECT_FALSE(rows[0].empty());
+  EXPECT_EQ(rows[0], rows[1]);
 }
 
 TEST(Campaign, ShardsPartitionTheCells) {
@@ -344,6 +349,18 @@ TEST(Campaign, ShardsPartitionTheCells) {
   EXPECT_NE(ra.cells[0].cell.index, rb.cells[0].cell.index);
 }
 
+TEST(Campaign, UnknownWorkloadThrowsBeforeRunningAtAnyThreadCount) {
+  CampaignGrid grid = small_grid();
+  grid.workloads({"rspeed", "no-such-kernel"});
+  for (const unsigned threads : {1u, 8u}) {
+    CampaignOptions opts;
+    opts.threads = threads;
+    EXPECT_THROW((void)run_campaign(grid, small_spec(2), opts),
+                 std::out_of_range)
+        << threads << " threads";
+  }
+}
+
 TEST(Campaign, EventsScaleWithTheRateAxis) {
   CampaignGrid grid;
   grid.workloads({"rspeed"}).schemes({"laec"});
@@ -353,19 +370,6 @@ TEST(Campaign, EventsScaleWithTheRateAxis) {
   ASSERT_EQ(sum.cells.size(), 2u);
   EXPECT_LT(sum.cells[0].events, sum.cells[1].events);
   EXPECT_GT(sum.cells[1].events, 0u);
-}
-
-TEST(EventProb, LambdaBacksTheSaturatingProbability) {
-  CampaignSpec spec;
-  const double lam = event_lambda_for(spec, 1000.0, 39);
-  EXPECT_GT(lam, 0.0);
-  EXPECT_NEAR(event_prob_for(spec, 1000.0, 39), -std::expm1(-lam), 1e-15);
-  // Extreme acceleration: probability saturates to exactly 1, the lambda
-  // keeps growing (it is what preserves the multi-event information).
-  CampaignSpec extreme = spec;
-  extreme.accel = 1e30;
-  EXPECT_DOUBLE_EQ(event_prob_for(extreme, 1000.0, 39), 1.0);
-  EXPECT_GT(event_lambda_for(extreme, 1000.0, 39), 1.0);
 }
 
 TEST(Campaign, ExtremeAccelSurfacesDroppedEventsInsteadOfSilentTruncation) {

@@ -248,6 +248,12 @@ TEST(CampaignJob, ParseRejectsTruncatedAndAlienBytes) {
   EXPECT_THROW((void)parse_job(bytes.substr(0, bytes.size() / 2)), WireError);
   EXPECT_THROW((void)parse_job("alien"), WireError);
   EXPECT_THROW((void)parse_job(bytes + "trailing"), WireError);
+  // A job from the previous wire version (which still carried the fixed
+  // exposure window) is refused, never misparsed. The version is the
+  // leading little-endian u32.
+  std::string previous = bytes;
+  previous[0] = static_cast<char>(kJobVersion - 1);
+  EXPECT_THROW((void)parse_job(previous), WireError);
 }
 
 // --- daemon end to end ------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <sstream>
 
@@ -250,6 +251,21 @@ TEST(SweepRunner, ProgramModeRunsSelfChecks) {
   EXPECT_TRUE(summary.results[0].self_check_ok);
   EXPECT_TRUE(summary.results[0].stats.completed);
   EXPECT_EQ(summary.totals.value("self_check_failures"), 0u);
+}
+
+TEST(ParallelFor, VisitsEveryIndexExactlyOnceAtAnyThreadCount) {
+  for (const unsigned threads : {0u, 1u, 3u, 8u}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{5}, std::size_t{100}}) {
+      std::vector<std::atomic<int>> hits(n);
+      parallel_for(n, threads, [&](std::size_t i) { hits[i] += 1; });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << " at " << threads
+            << " threads";
+      }
+    }
+  }
 }
 
 TEST(SweepRunner, InvalidShardOptionsThrow) {

@@ -14,17 +14,17 @@
 //       Run the full (workload x scheme) experiment grid N-way parallel
 //       through runner::run_sweep and stream one row per point. Without a
 //       kernel argument this is the Fig. 8 grid (16 kernels x 4 schemes).
-//       --procs=N forks one worker process per shard on top of the thread
-//       pool; rows merge deterministically (byte-identical to --procs=1).
+//       Rows are byte-identical at any --threads.
 //   laec_cli campaign [kernel] [options]
 //       Monte Carlo reliability campaign: run N fault-injection trials per
 //       (workload x scheme x rate) cell and emit one row per cell with
 //       FIT / MTTF / AVF estimates and Wilson confidence intervals.
-//       Composes with --threads / --shard / --procs exactly like sweep
-//       (byte-identical row merges at any layout). With --checkpoint=FILE
-//       the campaign persists per-cell trial cursors every round; an
-//       interrupted run (SIGINT/SIGTERM, exit code 3) resumes with
-//       --resume and emits rows byte-identical to an uninterrupted run.
+//       Golden runs and trials share one --threads pool; rows are
+//       byte-identical at any --threads, and --shard slices union to the
+//       whole campaign. With --checkpoint=FILE the campaign persists
+//       per-cell trial cursors every round; an interrupted run
+//       (SIGINT/SIGTERM, exit code 3) resumes with --resume and emits rows
+//       byte-identical to an uninterrupted run.
 //   laec_cli serve --socket=PATH [--workers=N]
 //       Campaign work-queue daemon over a Unix-domain socket: worker
 //       threads pull cells from an MPMC queue; each connection submits a
@@ -63,8 +63,6 @@
 //
 // Sweep/campaign options:
 //   --threads=<n>                worker threads (0 = hardware concurrency)
-//   --procs=<n>                  fork n worker processes (shards the grid,
-//                                merges rows byte-identically)
 //   --shard=<i>/<n>              run shard i of n (results union to the grid)
 //   --format=<csv|jsonl>         row format (default csv)
 //   --out=<file>                 write rows to a file instead of stdout
@@ -74,10 +72,8 @@
 //                                trials, snapshot restores, checkpoint
 //                                writes ...) viewable in chrome://tracing /
 //                                Perfetto. Rows stay byte-identical with
-//                                tracing on or off. With --procs=N each
-//                                worker records its own ring; the parent
-//                                stitches them into one document
-//                                (sweep / campaign / serve)
+//                                tracing on or off (sweep / campaign /
+//                                serve)
 //   --seed=<n>                   base seed for per-point deterministic RNG
 //
 // Campaign options:
@@ -88,7 +84,7 @@
 //   --confidence=<c>             CI level (default 0.95)
 //   --ci-width=<w>               stop a cell early once the Wilson CI
 //                                half-width on p_fail drops to w
-//   --accel=<a> --exposure=<cyc> fault-process acceleration knobs
+//   --accel=<a>                  fault-process time acceleration
 //   --mbu=s:W,adj2:W,adj3:W,cluster:W
 //                                MBU pattern-probability table; overrides
 //                                every rate's shape mix (without it,
@@ -114,6 +110,7 @@
 //   --socket=PATH                Unix-domain socket (serve/submit/status/stop)
 //   --workers=N                  daemon worker threads (0 = hw concurrency)
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -121,9 +118,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -136,7 +133,6 @@
 #include "reliability/campaign.hpp"
 #include "report/sink.hpp"
 #include "report/table.hpp"
-#include "runner/multiproc.hpp"
 #include "runner/sweep_runner.hpp"
 #include "service/checkpoint.hpp"
 #include "service/columnar.hpp"
@@ -166,7 +162,6 @@ struct CliOptions {
   std::vector<std::string> ecc_schemes;  ///< parsed --ecc comma list
   bool sweep_trace = false;
   unsigned threads = 0;
-  unsigned procs = 1;
   unsigned shard_index = 0;
   unsigned shard_count = 1;
   u64 base_seed = 0x1aec;
@@ -231,31 +226,32 @@ std::optional<double> parse_double_strict(const std::string& s) {
   }
 }
 
-/// Strict unsigned parse: the whole string must be digits ("1e3" is an
-/// error, not 1). nullopt on any failure.
-std::optional<unsigned long> parse_ulong_strict(const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const unsigned long v = std::stoul(s, &used);
-    if (used != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+/// Strict unsigned parse: the whole string must be decimal digits (no
+/// sign, no "1e3", no whitespace) and the value must fit T. nullopt on any
+/// failure.
+template <typename T>
+std::optional<T> parse_uint_strict(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
 }
 
-/// Shared handler shape for the campaign's strict numeric flags: parse or
-/// report and poison the options.
-bool take_ulong(const std::string& flag, const std::string& v, CliOptions& o,
-                unsigned& out) {
-  const auto parsed = parse_ulong_strict(v);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "%s wants a whole number, not %s\n", flag.c_str(),
+/// Shared handler shape for every unsigned numeric flag: parse strictly
+/// (at most `max`), or report and poison the options.
+template <typename T>
+bool take_uint(const std::string& flag, const std::string& v, CliOptions& o,
+               T& out, T max = std::numeric_limits<T>::max()) {
+  const auto parsed = parse_uint_strict<T>(v);
+  if (!parsed.has_value() || *parsed > max) {
+    std::fprintf(stderr, "%s wants a whole number from 0 to %llu, not %s\n",
+                 flag.c_str(), static_cast<unsigned long long>(max),
                  v.c_str());
     o.ok = false;
     return false;
   }
-  out = static_cast<unsigned>(*parsed);
+  out = *parsed;
   return true;
 }
 
@@ -380,29 +376,35 @@ CliOptions parse(int argc, char** argv) {
       o.campaign.fast_forward = true;
       o.campaign_only_flags.push_back(arg);
     } else if (auto se = value("--snapshot-every"); !se.empty()) {
-      (void)take_ulong("--snapshot-every", se, o, o.campaign.snapshot_every);
+      (void)take_uint("--snapshot-every", se, o, o.campaign.snapshot_every);
       o.campaign_only_flags.push_back("--snapshot-every");
     } else if (auto sm = value("--snapshot-mem"); !sm.empty()) {
-      (void)take_ulong("--snapshot-mem", sm, o, o.campaign.snapshot_mem_mb);
+      (void)take_uint("--snapshot-mem", sm, o, o.campaign.snapshot_mem_mb);
       o.campaign_only_flags.push_back("--snapshot-mem");
     } else if (auto v2 = value("--dl1-kb"); !v2.empty()) {
-      o.cfg.dl1_size_bytes = static_cast<u32>(std::stoul(v2)) * 1024;
+      u32 kb = 0;
+      if (take_uint("--dl1-kb", v2, o, kb,
+                    std::numeric_limits<u32>::max() / 1024)) {
+        o.cfg.dl1_size_bytes = kb * 1024;
+      }
     } else if (auto v3 = value("--dl1-ways"); !v3.empty()) {
-      o.cfg.dl1_ways = static_cast<u32>(std::stoul(v3));
+      (void)take_uint("--dl1-ways", v3, o, o.cfg.dl1_ways);
     } else if (auto v4 = value("--wbuf"); !v4.empty()) {
-      o.cfg.write_buffer_depth = static_cast<unsigned>(std::stoul(v4));
+      (void)take_uint("--wbuf", v4, o, o.cfg.write_buffer_depth);
     } else if (auto v5 = value("--div"); !v5.empty()) {
-      o.cfg.div_latency = static_cast<unsigned>(std::stoul(v5));
+      (void)take_uint("--div", v5, o, o.cfg.div_latency);
     } else if (auto v6 = value("--mem"); !v6.empty()) {
-      o.cfg.memory_cycles = static_cast<unsigned>(std::stoul(v6));
+      (void)take_uint("--mem", v6, o, o.cfg.memory_cycles);
     } else if (auto v7 = value("--ops"); !v7.empty()) {
-      o.trace_ops = std::stoull(v7);
+      (void)take_uint("--ops", v7, o, o.trace_ops);
     } else if (auto is = value("--inject-single"); !is.empty()) {
       if (!o.cfg.faults.has_value()) o.cfg.faults.emplace();
-      o.cfg.faults->single_flip_prob = std::stod(is);
+      (void)take_double("--inject-single", is, o,
+                        o.cfg.faults->single_flip_prob);
     } else if (auto id = value("--inject-double"); !id.empty()) {
       if (!o.cfg.faults.has_value()) o.cfg.faults.emplace();
-      o.cfg.faults->double_flip_prob = std::stod(id);
+      (void)take_double("--inject-double", id, o,
+                        o.cfg.faults->double_flip_prob);
     } else if (arg == "--inject-adjacent") {
       if (!o.cfg.faults.has_value()) o.cfg.faults.emplace();
       o.cfg.faults->adjacent_doubles = true;
@@ -419,25 +421,18 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--csv") {
       o.csv = true;
     } else if (auto t = value("--threads"); !t.empty()) {
-      o.threads = static_cast<unsigned>(std::stoul(t));
+      (void)take_uint("--threads", t, o, o.threads);
       o.sweep_only_flags.push_back("--threads");
-    } else if (auto pr = value("--procs"); !pr.empty()) {
-      o.procs = static_cast<unsigned>(std::stoul(pr));
-      o.sweep_only_flags.push_back("--procs");
-      if (o.procs == 0) {
-        std::fprintf(stderr, "--procs wants at least 1 process\n");
-        o.ok = false;
-      }
     } else if (auto s = value("--shard"); !s.empty()) {
       o.sweep_only_flags.push_back("--shard");
       const auto slash = s.find('/');
       if (slash == std::string::npos) {
         std::fprintf(stderr, "--shard wants <index>/<count>\n");
         o.ok = false;
-      } else {
-        o.shard_index = static_cast<unsigned>(std::stoul(s.substr(0, slash)));
-        o.shard_count =
-            static_cast<unsigned>(std::stoul(s.substr(slash + 1)));
+      } else if (take_uint("--shard index", s.substr(0, slash), o,
+                           o.shard_index)) {
+        (void)take_uint("--shard count", s.substr(slash + 1), o,
+                        o.shard_count);
       }
     } else if (auto f = value("--format"); !f.empty()) {
       o.format = f;
@@ -446,7 +441,7 @@ CliOptions parse(int argc, char** argv) {
       o.out_path = p;
       o.sweep_only_flags.push_back("--out");
     } else if (auto sd = value("--seed"); !sd.empty()) {
-      o.base_seed = std::stoull(sd);
+      (void)take_uint("--seed", sd, o, o.base_seed);
       o.sweep_only_flags.push_back("--seed");
     } else if (arg == "--trace") {
       o.sweep_trace = true;
@@ -463,13 +458,13 @@ CliOptions parse(int argc, char** argv) {
         o.ok = false;
       }
     } else if (auto tv = value("--trials"); !tv.empty()) {
-      (void)take_ulong("--trials", tv, o, o.campaign.trials);
+      (void)take_uint("--trials", tv, o, o.campaign.trials);
       o.campaign_only_flags.push_back("--trials");
     } else if (auto mv = value("--min-trials"); !mv.empty()) {
-      (void)take_ulong("--min-trials", mv, o, o.campaign.min_trials);
+      (void)take_uint("--min-trials", mv, o, o.campaign.min_trials);
       o.campaign_only_flags.push_back("--min-trials");
     } else if (auto bv = value("--batch"); !bv.empty()) {
-      (void)take_ulong("--batch", bv, o, o.campaign.batch);
+      (void)take_uint("--batch", bv, o, o.campaign.batch);
       o.campaign_only_flags.push_back("--batch");
     } else if (auto cv = value("--confidence"); !cv.empty()) {
       (void)take_double("--confidence", cv, o, o.campaign.confidence);
@@ -480,9 +475,6 @@ CliOptions parse(int argc, char** argv) {
     } else if (auto av = value("--accel"); !av.empty()) {
       (void)take_double("--accel", av, o, o.campaign.accel);
       o.campaign_only_flags.push_back("--accel");
-    } else if (auto ev = value("--exposure"); !ev.empty()) {
-      (void)take_ulong("--exposure", ev, o, o.campaign.exposure_cycles);
-      o.campaign_only_flags.push_back("--exposure");
     } else if (auto ck = value("--checkpoint"); !ck.empty()) {
       o.checkpoint_path = ck;
       o.local_campaign_flags.push_back("--checkpoint");
@@ -490,7 +482,7 @@ CliOptions parse(int argc, char** argv) {
       o.resume = true;
       o.local_campaign_flags.push_back("--resume");
     } else if (auto sr = value("--stop-after-rounds"); !sr.empty()) {
-      (void)take_ulong("--stop-after-rounds", sr, o, o.stop_after_rounds);
+      (void)take_uint("--stop-after-rounds", sr, o, o.stop_after_rounds);
       o.local_campaign_flags.push_back("--stop-after-rounds");
       if (o.stop_after_rounds == 0) {
         std::fprintf(stderr, "--stop-after-rounds wants at least 1 round\n");
@@ -501,13 +493,13 @@ CliOptions parse(int argc, char** argv) {
       o.local_campaign_flags.push_back("--progress");
     } else if (auto pg = value("--progress"); !pg.empty()) {
       o.progress = true;
-      (void)take_ulong("--progress", pg, o, o.progress_secs);
+      (void)take_uint("--progress", pg, o, o.progress_secs);
       o.local_campaign_flags.push_back("--progress");
     } else if (auto sk = value("--socket"); !sk.empty()) {
       o.socket_path = sk;
       o.service_flags.push_back("--socket");
     } else if (auto wk = value("--workers"); !wk.empty()) {
-      (void)take_ulong("--workers", wk, o, o.serve_workers);
+      (void)take_uint("--workers", wk, o, o.serve_workers);
       o.workers_explicit = true;
       o.service_flags.push_back("--workers");
     } else if (auto uv = value("--mbu"); !uv.empty()) {
@@ -607,13 +599,6 @@ struct OutputTarget {
     return 0;
   }
 };
-
-void print_worker_diagnostics(const char* cmd,
-                              const std::vector<std::string>& diagnostics) {
-  for (const auto& d : diagnostics) {
-    std::fprintf(stderr, "%s: %s\n", cmd, d.c_str());
-  }
-}
 
 /// Render one --progress heartbeat from the metrics registry. run_campaign
 /// publishes its cursor totals as gauges every round (so a resumed run's
@@ -872,44 +857,22 @@ int cmd_sweep(const CliOptions& o) {
 
   OutputTarget target;
   if (!target.open(o)) return 2;
-  std::ostream& out = *target.stream;
-  const bool columnar = o.format == "col";
-  if (!columnar && report::make_row_writer(o.format, out) == nullptr) {
+  const auto writer = make_any_writer(o.format, *target.stream);
+  if (writer == nullptr) {
     std::fprintf(stderr, "unknown --format=%s (want csv, jsonl or col)\n",
                  o.format.c_str());
     return 2;
   }
 
-  // One driver for both scales: --procs=1 runs the classic in-process
-  // sweep; --procs=N forks workers over sub-shards and merges their row
-  // files back into `out`, byte-identical either way. Columnar output
-  // buffers the merged CSV and re-encodes it — csv_to_rows is the exact
-  // inverse of CsvWriter, so the .col file holds exactly the CSV rows.
-  runner::ProcOptions opts;
-  opts.procs = o.procs;
-  opts.format = columnar ? "csv" : o.format;
-  opts.worker.threads = o.threads;
-  opts.worker.shard_index = o.shard_index;
-  opts.worker.shard_count = o.shard_count;
-  opts.worker.base_seed = o.base_seed;
-  opts.trace_path = o.trace_path;
-  if (!o.out_path.empty()) opts.scratch_prefix = o.out_path;
+  runner::SweepOptions opts;
+  opts.threads = o.threads;
+  opts.shard_index = o.shard_index;
+  opts.shard_count = o.shard_count;
+  opts.base_seed = o.base_seed;
+  opts.sink = writer.get();
   if (!o.trace_path.empty()) obs::Tracer::global().enable();
-
-  std::ostringstream csv_buffer;
-  std::ostream& engine_out = columnar ? csv_buffer : out;
-  const auto summary = runner::run_sweep_procs(grid.points(), opts,
-                                               engine_out);
-  if (columnar) {
-    std::istringstream csv_in(csv_buffer.str());
-    service::ColumnarWriter writer(out);
-    (void)service::csv_to_rows(csv_in, writer);
-    writer.end();
-  }
-  // With --procs>1 the fork/merge engine stitched the shard rings into the
-  // trace file already; single-process runs dump the in-process ring here.
-  if (!o.trace_path.empty() && o.procs == 1 &&
-      !obs::write_trace_file(o.trace_path)) {
+  const auto summary = runner::run_sweep(grid, opts);
+  if (!o.trace_path.empty() && !obs::write_trace_file(o.trace_path)) {
     std::fprintf(stderr, "cannot write trace file %s\n",
                  o.trace_path.c_str());
   }
@@ -918,14 +881,9 @@ int cmd_sweep(const CliOptions& o) {
                "sweep: %zu points, %llu cycles simulated, "
                "%zu self-check failures\n",
                summary.points_run,
-               static_cast<unsigned long long>(summary.cycles),
+               static_cast<unsigned long long>(
+                   summary.totals.value("cycles")),
                summary.self_check_failures);
-  if (summary.failed_workers != 0) {
-    print_worker_diagnostics("sweep", summary.worker_diagnostics);
-    std::fprintf(stderr, "sweep: %u worker process(es) failed\n",
-                 summary.failed_workers);
-    return 2;
-  }
   if (const int rc = target.finish(); rc != 0) return rc;
   return summary.self_check_failures == 0 ? 0 : 1;
 }
@@ -1002,174 +960,116 @@ int cmd_campaign(const CliOptions& o) {
     std::fprintf(stderr, "--resume needs --checkpoint=FILE\n");
     return 2;
   }
-  if ((checkpointing || o.stop_after_rounds != 0 || o.progress) &&
-      o.procs != 1) {
-    std::fprintf(stderr,
-                 "--checkpoint/--stop-after-rounds/--progress need "
-                 "--procs=1 (cursors live in the campaign loop)\n");
-    return 2;
-  }
 
   OutputTarget target;
   if (!target.open(o)) return 2;
-  std::ostream& out = *target.stream;
-  const bool columnar = o.format == "col";
-
-  if (o.procs == 1) {
-    // Single-process path: drive run_campaign directly so the checkpoint
-    // cursors, heartbeat and graceful-stop hooks see every round. Byte-
-    // identical to the procs engine's in-process path (same engine, same
-    // sink discipline).
-    const auto writer = make_any_writer(o.format, out);
-    if (writer == nullptr) {
-      std::fprintf(stderr, "unknown --format=%s (want csv, jsonl or col)\n",
-                   o.format.c_str());
-      return 2;
-    }
-
-    const u64 identity =
-        service::campaign_identity(campaign_job_from(o, spec, cells));
-    std::vector<reliability::CellProgress> restored;
-    reliability::CampaignOptions copts;
-    copts.threads = o.threads;
-    copts.shard_index = o.shard_index;
-    copts.shard_count = o.shard_count;
-    copts.base_seed = o.base_seed;
-    copts.sink = writer.get();
-
-    if (checkpointing) {
-      if (o.resume) {
-        try {
-          restored = service::load_checkpoint(o.checkpoint_path, identity);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "cannot resume from %s: %s\n",
-                       o.checkpoint_path.c_str(), e.what());
-          return 2;
-        }
-        copts.resume_from = &restored;
-      } else if (std::filesystem::exists(o.checkpoint_path)) {
-        std::fprintf(stderr,
-                     "checkpoint %s already exists; pass --resume to "
-                     "continue it or remove the file\n",
-                     o.checkpoint_path.c_str());
-        return 2;
-      }
-    }
-
-    install_stop_handlers();
-    if (!o.trace_path.empty()) obs::Tracer::global().enable();
-    unsigned rounds = 0;
-    const auto start = std::chrono::steady_clock::now();
-    auto last_beat = start;
-    u64 last_done = 0;
-    copts.on_round = [&](const std::vector<reliability::CellProgress>& p) {
-      ++rounds;
-      if (checkpointing) {
-        service::save_checkpoint(o.checkpoint_path, identity, p);
-      }
-      if (o.progress) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now - last_beat >= std::chrono::seconds(o.progress_secs) ||
-            rounds == 1) {
-          const double elapsed =
-              std::chrono::duration<double>(now - start).count();
-          // On the first beat last_beat == start, so the "window" spans
-          // the whole run so far — still a measured rate, never stale.
-          const double window =
-              std::chrono::duration<double>(now - last_beat).count();
-          last_done = print_heartbeat(elapsed, window, last_done);
-          last_beat = now;
-        }
-      }
-    };
-    copts.should_stop = [&] {
-      return g_stop_requested.load(std::memory_order_acquire) ||
-             (o.stop_after_rounds != 0 && rounds >= o.stop_after_rounds);
-    };
-
-    const auto summary = reliability::run_campaign(cells, spec, copts);
-    // Dump the flight recorder even for interrupted runs — a trace of the
-    // rounds that DID happen is exactly what a post-mortem wants.
-    if (!o.trace_path.empty() &&
-        !obs::write_trace_file(o.trace_path)) {
-      std::fprintf(stderr, "cannot write trace file %s\n",
-                   o.trace_path.c_str());
-    }
-    if (summary.interrupted) {
-      if (checkpointing) {
-        std::fprintf(stderr,
-                     "campaign: interrupted after %u round(s); cursors "
-                     "saved to %s — rerun with --resume to finish\n",
-                     rounds, o.checkpoint_path.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "campaign: interrupted after %u round(s); no "
-                     "--checkpoint given, progress was discarded\n",
-                     rounds);
-      }
-      return 3;
-    }
-    writer->end();
-    if (!writer->ok()) {
-      std::fprintf(stderr,
-                   "error: writing rows to %s failed (disk full or I/O "
-                   "error); the output is incomplete\n",
-                   target.label.c_str());
-      return 2;
-    }
-    if (const int rc = target.finish(); rc != 0) return rc;
-    std::fprintf(stderr,
-                 "campaign: %zu cells, %llu trials, %llu failing trials "
-                 "(SDC + data-loss)\n",
-                 summary.cells_run,
-                 static_cast<unsigned long long>(summary.trials_run),
-                 static_cast<unsigned long long>(summary.failures));
-    return 0;
-  }
-
-  // Multi-process path. Columnar output buffers the merged CSV and
-  // re-encodes it, like cmd_sweep.
-  reliability::CampaignProcOptions popts;
-  popts.procs = o.procs;
-  popts.format = columnar ? "csv" : o.format;
-  popts.worker.threads = o.threads;
-  popts.worker.shard_index = o.shard_index;
-  popts.worker.shard_count = o.shard_count;
-  popts.worker.base_seed = o.base_seed;
-  popts.trace_path = o.trace_path;
-  if (!o.out_path.empty()) popts.scratch_prefix = o.out_path;
-  if (!o.trace_path.empty()) obs::Tracer::global().enable();
-  if (!columnar &&
-      report::make_row_writer(popts.format, out) == nullptr) {
+  // One in-process path: run_campaign sees every round, so the
+  // checkpoint cursors, heartbeat and graceful-stop hooks ride along.
+  const auto writer = make_any_writer(o.format, *target.stream);
+  if (writer == nullptr) {
     std::fprintf(stderr, "unknown --format=%s (want csv, jsonl or col)\n",
                  o.format.c_str());
     return 2;
   }
 
-  std::ostringstream csv_buffer;
-  std::ostream& engine_out = columnar ? csv_buffer : out;
-  const auto summary =
-      reliability::run_campaign_procs(cells, spec, popts, engine_out);
-  if (columnar) {
-    std::istringstream csv_in(csv_buffer.str());
-    service::ColumnarWriter writer(out);
-    (void)service::csv_to_rows(csv_in, writer);
-    writer.end();
+  const u64 identity =
+      service::campaign_identity(campaign_job_from(o, spec, cells));
+  std::vector<reliability::CellProgress> restored;
+  reliability::CampaignOptions copts;
+  copts.threads = o.threads;
+  copts.shard_index = o.shard_index;
+  copts.shard_count = o.shard_count;
+  copts.base_seed = o.base_seed;
+  copts.sink = writer.get();
+
+  if (checkpointing) {
+    if (o.resume) {
+      try {
+        restored = service::load_checkpoint(o.checkpoint_path, identity);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "cannot resume from %s: %s\n",
+                     o.checkpoint_path.c_str(), e.what());
+        return 2;
+      }
+      copts.resume_from = &restored;
+    } else if (std::filesystem::exists(o.checkpoint_path)) {
+      std::fprintf(stderr,
+                   "checkpoint %s already exists; pass --resume to "
+                   "continue it or remove the file\n",
+                   o.checkpoint_path.c_str());
+      return 2;
+    }
   }
 
+  install_stop_handlers();
+  if (!o.trace_path.empty()) obs::Tracer::global().enable();
+  unsigned rounds = 0;
+  const auto start = std::chrono::steady_clock::now();
+  auto last_beat = start;
+  u64 last_done = 0;
+  copts.on_round = [&](const std::vector<reliability::CellProgress>& p) {
+    ++rounds;
+    if (checkpointing) {
+      service::save_checkpoint(o.checkpoint_path, identity, p);
+    }
+    if (o.progress) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now - last_beat >= std::chrono::seconds(o.progress_secs) ||
+          rounds == 1) {
+        const double elapsed =
+            std::chrono::duration<double>(now - start).count();
+        // On the first beat last_beat == start, so the "window" spans
+        // the whole run so far — still a measured rate, never stale.
+        const double window =
+            std::chrono::duration<double>(now - last_beat).count();
+        last_done = print_heartbeat(elapsed, window, last_done);
+        last_beat = now;
+      }
+    }
+  };
+  copts.should_stop = [&] {
+    return g_stop_requested.load(std::memory_order_acquire) ||
+           (o.stop_after_rounds != 0 && rounds >= o.stop_after_rounds);
+  };
+
+  const auto summary = reliability::run_campaign(cells, spec, copts);
+  // Dump the flight recorder even for interrupted runs — a trace of the
+  // rounds that DID happen is exactly what a post-mortem wants.
+  if (!o.trace_path.empty() &&
+      !obs::write_trace_file(o.trace_path)) {
+    std::fprintf(stderr, "cannot write trace file %s\n",
+                 o.trace_path.c_str());
+  }
+  if (summary.interrupted) {
+    if (checkpointing) {
+      std::fprintf(stderr,
+                   "campaign: interrupted after %u round(s); cursors "
+                   "saved to %s — rerun with --resume to finish\n",
+                   rounds, o.checkpoint_path.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "campaign: interrupted after %u round(s); no "
+                   "--checkpoint given, progress was discarded\n",
+                   rounds);
+    }
+    return 3;
+  }
+  writer->end();
+  if (!writer->ok()) {
+    std::fprintf(stderr,
+                 "error: writing rows to %s failed (disk full or I/O "
+                 "error); the output is incomplete\n",
+                 target.label.c_str());
+    return 2;
+  }
+  if (const int rc = target.finish(); rc != 0) return rc;
   std::fprintf(stderr,
                "campaign: %zu cells, %llu trials, %llu failing trials "
                "(SDC + data-loss)\n",
                summary.cells_run,
                static_cast<unsigned long long>(summary.trials_run),
                static_cast<unsigned long long>(summary.failures));
-  if (summary.failed_workers != 0) {
-    print_worker_diagnostics("campaign", summary.worker_diagnostics);
-    std::fprintf(stderr, "campaign: %u worker process(es) failed\n",
-                 summary.failed_workers);
-    return 2;
-  }
-  return target.finish();
+  return 0;
 }
 
 int cmd_serve(const CliOptions& o) {
@@ -1334,7 +1234,7 @@ void usage() {
       "  --inject-single=P  --inject-double=P  --inject-adjacent\n"
       "  --inject-target=dl1|l1i|l2\n"
       "sweep/campaign mode:\n"
-      "  --threads=N  --procs=N  --shard=I/N  --format=csv|jsonl|col\n"
+      "  --threads=N  --shard=I/N  --format=csv|jsonl|col\n"
       "  --out=FILE  --trace  --seed=N\n"
       "  --trace=FILE               flight recorder: Chrome trace-event\n"
       "                             JSON of the run (open in Perfetto /\n"
@@ -1343,8 +1243,7 @@ void usage() {
       "campaign mode:\n"
       "  --rates=R[,R...]  (65nm|40nm|28nm or FIT/Mbit)  --trials=N\n"
       "  --min-trials=N  --batch=N  --confidence=C  --ci-width=W\n"
-      "  --accel=A  --exposure=CYCLES  --mbu=single:W,adj2:W,adj3:W,"
-      "cluster:W\n"
+      "  --accel=A  --mbu=single:W,adj2:W,adj3:W,cluster:W\n"
       "  --prune / --no-prune       golden-run residency pruning: classify\n"
       "                             provably-masked trials without\n"
       "                             simulating them (byte-identical rows;\n"
@@ -1400,7 +1299,7 @@ int main(int argc, char** argv) {
     }
     if (o.command == "submit") {
       for (const auto& f : o.sweep_only_flags) {
-        if (f == "--threads" || f == "--procs" || f == "--trace") {
+        if (f == "--threads" || f == "--trace") {
           std::fprintf(stderr,
                        "%s does not apply to submit (the daemon owns its "
                        "own worker pool)\n",
