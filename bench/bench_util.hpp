@@ -48,7 +48,7 @@ template <typename ExtraFn>
 
 inline core::SimConfig config_for(cpu::EccPolicy ecc) {
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.set_scheme(to_string(ecc));
   return cfg;
 }
 

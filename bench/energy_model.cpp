@@ -25,13 +25,17 @@ int main() {
       {EccPolicy::kLaec, {}},
   };
 
+  const auto deployment = [](EccPolicy p) {
+    return core::HierarchyDeployment::parse(to_string(p));
+  };
   const auto& kernels = workloads::eembc_kernels();
   for (const auto& k : kernels) {
     const auto base = bench::run_calibrated(k, EccPolicy::kNoEcc);
-    const auto ebase = energy::compute(ep, base, EccPolicy::kNoEcc);
+    const auto ebase =
+        energy::compute(ep, base, deployment(EccPolicy::kNoEcc));
     for (auto& [policy, acc] : accs) {
       const auto s = bench::run_calibrated(k, policy);
-      const auto e = energy::compute(ep, s, policy);
+      const auto e = energy::compute(ep, s, deployment(policy));
       acc.cycles += bench::ratio(s.cycles, base.cycles);
       acc.leak += e.leakage_uj / ebase.leakage_uj;
       acc.dyn += e.dynamic_uj / ebase.dynamic_uj;

@@ -30,8 +30,8 @@ namespace {
 using namespace laec;
 
 // Codec-level decode throughput: the syndrome-LUT line decode against the
-// per-word virtual matrix decode (exactly the two paths CacheConfig::
-// use_lut_decode switches between). A quarter of the words carry a random
+// per-word virtual matrix decode (the two paths a cache takes for a codec
+// with and without a LUT). A quarter of the words carry a random
 // error syndrome so both correction and the clean path are exercised.
 // Counter is words decoded per second. arg 0 = LUT, 1 = matrix.
 void BM_DecodeLineThroughput(benchmark::State& state,
@@ -117,39 +117,14 @@ void BM_KernelMatrixLaecInject(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelMatrixLaecInject)->Unit(benchmark::kMillisecond);
 
-// Same storm with the syndrome-LUT decode layer disabled
-// (SimConfig::lut_decode=false, the --no-lut CLI path): every cold decode
-// pays the full parity-matrix reduction instead of one table load. The
-// LUT/matrix pair isolates the decode cost from the rest of the cold path.
-void BM_KernelMatrixLaecInjectNoLut(benchmark::State& state) {
-  const auto built = workloads::kernel_by_name("matrix").build();
-  u64 cycles = 0;
-  for (auto _ : state) {
-    auto cfg = bench::config_for(cpu::EccPolicy::kLaec);
-    cfg.lut_decode = false;
-    cfg.faults.emplace();
-    cfg.faults->single_flip_prob = 0.01;
-    cfg.faults->double_flip_prob = 0.005;
-    cfg.faults->adjacent_doubles = true;
-    const auto s = core::run_program(cfg, built.program);
-    cycles += s.cycles;
-    benchmark::DoNotOptimize(s.cycles);
-  }
-  state.counters["sim_cycles_per_s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_KernelMatrixLaecInjectNoLut)->Unit(benchmark::kMillisecond);
-
-// Decode-bound pair under the widest registered code (DEC BCH (45,32),
-// r=13): the matrix decode walks 13 parity reductions plus a double-error
-// search, the LUT path is one 8K-entry table load. arg 0 = LUT, 1 = matrix.
+// The same storm under the widest registered code (DEC BCH (45,32),
+// r=13): every cold decode is one 8K-entry syndrome-table load.
 void BM_KernelMatrixBchInject(benchmark::State& state) {
   const auto built = workloads::kernel_by_name("matrix").build();
   u64 cycles = 0;
   for (auto _ : state) {
-    auto cfg = bench::config_for(cpu::EccPolicy::kLaec);
+    core::SimConfig cfg;
     cfg.set_scheme("dec-bch-45-32");
-    cfg.lut_decode = state.range(0) == 0;
     cfg.faults.emplace();
     cfg.faults->single_flip_prob = 0.01;
     cfg.faults->double_flip_prob = 0.005;
@@ -161,11 +136,7 @@ void BM_KernelMatrixBchInject(benchmark::State& state) {
   state.counters["sim_cycles_per_s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_KernelMatrixBchInject)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("matrix_decode")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelMatrixBchInject)->Unit(benchmark::kMillisecond);
 
 // The sweep runner's per-point shape: simulate, then verify every
 // architecturally-final word against the kernel's reference model (which

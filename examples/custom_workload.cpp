@@ -54,7 +54,7 @@ int main() {
   for (EccPolicy p : {EccPolicy::kNoEcc, EccPolicy::kExtraCycle,
                       EccPolicy::kExtraStage, EccPolicy::kLaec}) {
     core::SimConfig cfg;
-    cfg.ecc = p;
+    cfg.set_scheme(to_string(p));
     const auto s = core::run_program(cfg, histogram_program());
     if (p == EccPolicy::kNoEcc) base = s.cycles;
     t1.add_row({std::string(to_string(p)), std::to_string(s.cycles),
@@ -80,7 +80,7 @@ int main() {
   for (EccPolicy p : {EccPolicy::kNoEcc, EccPolicy::kExtraCycle,
                       EccPolicy::kExtraStage, EccPolicy::kLaec}) {
     core::SimConfig cfg;
-    cfg.ecc = p;
+    cfg.set_scheme(to_string(p));
     workloads::SyntheticTrace trace(sp);
     const auto s = core::run_trace(cfg, trace);
     if (p == EccPolicy::kNoEcc) base = s.cycles;

@@ -25,7 +25,7 @@ int main() {
        {cpu::EccPolicy::kLaec, cpu::EccPolicy::kWtParity,
         cpu::EccPolicy::kNoEcc}) {
     core::SimConfig cfg;
-    cfg.ecc = policy;
+    cfg.set_scheme(to_string(policy));
     ecc::InjectorConfig inj;
     inj.single_flip_prob = 0.002;  // one flip every ~500 word reads
     inj.seed = 2024;

@@ -33,10 +33,11 @@ int main() {
   a.halt();
   const isa::Program program = a.finish();
 
-  // 2. Configure the machine. EccPolicy picks the DL1 protection scheme:
-  //    kNoEcc / kExtraCycle / kExtraStage / kLaec / kWtParity.
+  // 2. Configure the machine. A scheme key picks the DL1 protection:
+  //    no-ecc / extra-cycle / extra-stage / laec / wt-parity, or a codec
+  //    key such as sec-daec-39-32 (see `laec_cli schemes`).
   core::SimConfig cfg;
-  cfg.ecc = cpu::EccPolicy::kLaec;
+  cfg.set_scheme("laec");
 
   // 3. Run (run_program builds the NGMP-like system, loads, and simulates).
   const core::RunStats stats = core::run_program(cfg, program);

@@ -124,6 +124,32 @@ void apply_flags(const SegmentFlags& flags, std::string_view codec_key,
   }
 }
 
+/// The canonical deployment behind one of the paper's five policies.
+HierarchyDeployment from_policy(cpu::EccPolicy p) {
+  HierarchyDeployment d;
+  d.name = std::string(to_string(p));
+  d.dl1_key = d.name;
+  d.timing = p;
+  switch (p) {
+    case cpu::EccPolicy::kNoEcc:
+      d.codec = "none";
+      break;
+    case cpu::EccPolicy::kExtraCycle:
+    case cpu::EccPolicy::kExtraStage:
+    case cpu::EccPolicy::kLaec:
+      d.codec = "secded-39-32";
+      break;
+    case cpu::EccPolicy::kWtParity:
+      d.codec = "parity-32";
+      d.write_policy = mem::WritePolicy::kWriteThrough;
+      d.alloc_policy = mem::AllocPolicy::kNoWriteAllocate;
+      break;
+  }
+  apply_derived_defaults(*ecc::make_codec(d.codec), d.scrub_on_correct,
+                         d.recovery);
+  return d;
+}
+
 /// Deployment for a bare DL1 codec key: correcting codecs ride the write-
 /// back DL1 under the LAEC placement (the paper's proposal, and the fair
 /// apples-to-apples slot for codec-vs-codec comparisons); detect-only
@@ -164,7 +190,7 @@ HierarchyDeployment parse_dl1_segment(std::string_view segment) {
   if (tokens.size() == 1) {
     const std::string_view base = tokens[0];
     if (const auto p = cpu::ecc_policy_from_string(base); p.has_value()) {
-      return finish(HierarchyDeployment::from_policy(*p));
+      return finish(from_policy(*p));
     }
     if (ecc::codec_registered(base)) return finish(for_codec(base));
     throw std::invalid_argument(
@@ -186,7 +212,7 @@ HierarchyDeployment parse_dl1_segment(std::string_view segment) {
           "wt-parity)");
     }
     const auto codec = level_codec(codec_key, "DL1");
-    HierarchyDeployment d = HierarchyDeployment::from_policy(*p);
+    HierarchyDeployment d = from_policy(*p);
     d.name = std::string(placement) + ":" + std::string(codec_key);
     d.dl1_key = d.name;
     d.codec = std::string(codec_key);
@@ -259,31 +285,6 @@ std::string level_key_if_not(const LevelDeployment& d,
 }
 
 }  // namespace
-
-HierarchyDeployment HierarchyDeployment::from_policy(cpu::EccPolicy p) {
-  HierarchyDeployment d;
-  d.name = std::string(to_string(p));
-  d.dl1_key = d.name;
-  d.timing = p;
-  switch (p) {
-    case cpu::EccPolicy::kNoEcc:
-      d.codec = "none";
-      break;
-    case cpu::EccPolicy::kExtraCycle:
-    case cpu::EccPolicy::kExtraStage:
-    case cpu::EccPolicy::kLaec:
-      d.codec = "secded-39-32";
-      break;
-    case cpu::EccPolicy::kWtParity:
-      d.codec = "parity-32";
-      d.write_policy = mem::WritePolicy::kWriteThrough;
-      d.alloc_policy = mem::AllocPolicy::kNoWriteAllocate;
-      break;
-  }
-  apply_derived_defaults(*ecc::make_codec(d.codec), d.scrub_on_correct,
-                         d.recovery);
-  return d;
-}
 
 HierarchyDeployment HierarchyDeployment::parse(std::string_view key) {
   // Split the compound key on '+': one DL1 segment plus optional level

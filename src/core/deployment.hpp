@@ -71,8 +71,8 @@ struct HierarchyDeployment {
   std::string dl1_key = "no-ecc";
   /// Registry key of the DL1 word codec.
   std::string codec = "none";
-  /// Pipeline stage placement of the DL1 check (the legacy enum, kept as
-  /// the timing-model shim).
+  /// Pipeline stage placement of the DL1 check (what the timing model
+  /// reads).
   cpu::EccPolicy timing = cpu::EccPolicy::kNoEcc;
   mem::WritePolicy write_policy = mem::WritePolicy::kWriteBack;
   mem::AllocPolicy alloc_policy = mem::AllocPolicy::kWriteAllocate;
@@ -82,9 +82,6 @@ struct HierarchyDeployment {
   // --- the other protected arrays ----------------------------------------
   LevelDeployment l1i = l1i_default();
   LevelDeployment l2 = l2_default();
-
-  /// The canonical deployment behind one of the paper's five policies.
-  [[nodiscard]] static HierarchyDeployment from_policy(cpu::EccPolicy p);
 
   /// Parse a compound scheme key (see file comment). Throws
   /// std::invalid_argument with the known choices when a segment names
@@ -106,10 +103,6 @@ struct HierarchyDeployment {
   /// deployment exactly (the round-trip the sweep CSV relies on).
   [[nodiscard]] std::string canonical_key() const;
 };
-
-/// Legacy name: PRs 1-2 described only the DL1 slot; the descriptor now
-/// covers the hierarchy but every single-level call site still works.
-using EccDeployment = HierarchyDeployment;
 
 [[nodiscard]] inline std::string_view to_string(const HierarchyDeployment& d) {
   return d.name;

@@ -1,8 +1,10 @@
 #include "core/simulator.hpp"
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
+#include "common/bitops.hpp"
 #include "ecc/registry.hpp"
 #include "mem/residency.hpp"
 #include "obs/metrics.hpp"
@@ -11,7 +13,79 @@
 
 namespace laec::core {
 
+namespace {
+
+[[noreturn]] void reject(const std::string& what) {
+  throw std::invalid_argument("invalid configuration: " + what);
+}
+
+/// One set-associative L1 array: a power-of-two size holding at least one
+/// set of `ways` lines. (The set index is a mask, so the set count must be
+/// a power of two too; with power-of-two size, line and ways it is.)
+void check_l1(const char* name, u32 size_bytes, u32 line_bytes, u32 ways) {
+  const std::string n = name;
+  if (!is_pow2(size_bytes) || size_bytes > kMaxL1Bytes) {
+    reject(n + " size " + std::to_string(size_bytes) +
+           " B is not a power of two up to " + std::to_string(kMaxL1Bytes) +
+           " B");
+  }
+  if (static_cast<u64>(line_bytes) * ways > size_bytes) {
+    reject(n + " of " + std::to_string(size_bytes) + " B cannot hold one set" +
+           " of " + std::to_string(ways) + " " + std::to_string(line_bytes) +
+           " B lines");
+  }
+}
+
+bool is_probability(double p) {
+  return std::isfinite(p) && p >= 0.0 && p <= 1.0;
+}
+
+}  // namespace
+
+const HierarchyDeployment& SimConfig::default_deployment() {
+  static const HierarchyDeployment kLaec = HierarchyDeployment::parse("laec");
+  return kLaec;
+}
+
+void validate_config(const SimConfig& cfg) {
+  if (!is_pow2(cfg.dl1_line_bytes) || cfg.dl1_line_bytes < 4 ||
+      cfg.dl1_line_bytes > mem::SetAssocCache::kMaxLineBytes) {
+    reject("line size " + std::to_string(cfg.dl1_line_bytes) +
+           " B is not a power of two from 4 B to " +
+           std::to_string(mem::SetAssocCache::kMaxLineBytes) + " B");
+  }
+  if (!is_pow2(cfg.dl1_ways) || cfg.dl1_ways > kMaxL1Ways) {
+    reject("DL1 ways " + std::to_string(cfg.dl1_ways) +
+           " is not a power of two from 1 to " + std::to_string(kMaxL1Ways));
+  }
+  check_l1("DL1", cfg.dl1_size_bytes, cfg.dl1_line_bytes, cfg.dl1_ways);
+  check_l1("L1I", cfg.l1i_size_bytes, cfg.dl1_line_bytes,
+           sim::CoreConfig{}.l1i.cache.ways);
+  if (cfg.write_buffer_depth == 0 ||
+      cfg.write_buffer_depth > kMaxWriteBufferDepth) {
+    reject("write buffer depth " + std::to_string(cfg.write_buffer_depth) +
+           " is not from 1 to " + std::to_string(kMaxWriteBufferDepth));
+  }
+  if (cfg.mul_latency == 0 || cfg.div_latency == 0) {
+    // The EX stage counts an iterative unit's latency down from this value;
+    // zero would wrap and stall the pipeline until max_cycles.
+    reject("multiply and divide latencies must be at least 1 cycle");
+  }
+  if (cfg.num_cores == 0 || cfg.num_cores > kMaxCores) {
+    reject("core count " + std::to_string(cfg.num_cores) +
+           " is not from 1 to " + std::to_string(kMaxCores));
+  }
+  if (cfg.faults.has_value()) {
+    const ecc::InjectorConfig& f = *cfg.faults;
+    if (!is_probability(f.single_flip_prob) ||
+        !is_probability(f.double_flip_prob) || !is_probability(f.event_prob)) {
+      reject("fault injection probabilities must be finite and in [0, 1]");
+    }
+  }
+}
+
 sim::SystemConfig make_system_config(const SimConfig& cfg, bool trace_mode) {
+  validate_config(cfg);
   sim::SystemConfig sc;
   sc.num_cores = cfg.num_cores;
   sc.max_cycles = cfg.max_cycles;
@@ -34,9 +108,9 @@ sim::SystemConfig make_system_config(const SimConfig& cfg, bool trace_mode) {
   pp.max_cycles = cfg.max_cycles;
 
   // Expand the scheme descriptor: per-cache codec, scrub and recovery plus
-  // the DL1 write policy and stage placement all flow from the (possibly
-  // string-keyed) hierarchy deployment.
-  const HierarchyDeployment dep = cfg.effective_deployment();
+  // the DL1 write policy and stage placement all flow from the hierarchy
+  // deployment.
+  const HierarchyDeployment& dep = cfg.deployment;
   pp.ecc = dep.timing;
 
   mem::CacheConfig& dc = sc.core.dl1.cache;
@@ -49,7 +123,6 @@ sim::SystemConfig make_system_config(const SimConfig& cfg, bool trace_mode) {
   dc.scrub_on_correct = dep.scrub_on_correct;
   dc.recovery = dep.recovery;
   dc.force_generic_path = cfg.force_generic_ecc_path;
-  dc.use_lut_decode = cfg.lut_decode;
   sc.core.dl1.oracle.enabled = trace_mode;
   sc.core.dl1.oracle.miss_cycles = cfg.oracle_miss_cycles;
 
@@ -60,14 +133,12 @@ sim::SystemConfig make_system_config(const SimConfig& cfg, bool trace_mode) {
   ic.scrub_on_correct = dep.l1i.scrub_on_correct;
   ic.recovery = dep.l1i.recovery;
   ic.force_generic_path = cfg.force_generic_ecc_path;
-  ic.use_lut_decode = cfg.lut_decode;
 
   mem::CacheConfig& l2c = sc.memsys.l2.cache;
   l2c.codec = ecc::make_codec(dep.l2.codec);
   l2c.scrub_on_correct = dep.l2.scrub_on_correct;
   l2c.recovery = dep.l2.recovery;
   l2c.force_generic_path = cfg.force_generic_ecc_path;
-  l2c.use_lut_decode = cfg.lut_decode;
 
   sc.core.wbuf.depth = cfg.write_buffer_depth;
   return sc;
@@ -140,7 +211,7 @@ RunStats collect_stats(sim::System& system, bool completed) {
 }
 
 unsigned injector_word_bits(const SimConfig& cfg) {
-  const HierarchyDeployment dep = cfg.effective_deployment();
+  const HierarchyDeployment& dep = cfg.deployment;
   std::string_view codec_key = dep.codec;
   if (cfg.inject_target == InjectTarget::kL1i) codec_key = dep.l1i.codec;
   if (cfg.inject_target == InjectTarget::kL2) codec_key = dep.l2.codec;

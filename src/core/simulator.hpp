@@ -49,34 +49,28 @@ enum class InjectTarget { kDl1, kL1i, kL2 };
 }
 
 struct SimConfig {
-  /// DL1 ECC deployment under study (legacy enum axis). When `deployment`
-  /// is unset this policy is expanded via HierarchyDeployment::from_policy:
-  /// kNoEcc -> unprotected write-back; kExtraCycle/kExtraStage/kLaec ->
-  /// SECDED write-back; kWtParity -> parity write-through. The L1I and L2
-  /// keep their canonical deployments (parity-32 / secded-39-32).
-  cpu::EccPolicy ecc = cpu::EccPolicy::kLaec;
-  /// Full string-keyed scheme descriptor for the whole hierarchy (per-cache
-  /// codec + scrub + recovery, DL1 write policy + stage placement). Takes
-  /// precedence over `ecc` when set; set_scheme() keeps the two in sync.
-  /// New code should select schemes this way.
-  std::optional<HierarchyDeployment> deployment;
+  /// The scheme under study: per-cache codec, scrub and recovery plus the
+  /// DL1 write policy and check placement. Defaults to the "laec"
+  /// deployment.
+  HierarchyDeployment deployment = default_deployment();
 
   /// Select the scheme by key (policy name, codec name, "placement:codec",
   /// or a compound key like "laec+l2:sec-daec-39-32" — see
-  /// HierarchyDeployment::parse). Keeps the legacy `ecc` enum in sync for
-  /// timing-model consumers. Throws std::invalid_argument for unknown keys.
+  /// HierarchyDeployment::parse). Throws std::invalid_argument for unknown
+  /// keys.
   SimConfig& set_scheme(std::string_view key) {
     deployment = HierarchyDeployment::parse(key);
-    ecc = deployment->timing;
     return *this;
   }
 
-  /// The effective deployment: `deployment` when set, else the canonical
-  /// expansion of `ecc`.
-  [[nodiscard]] HierarchyDeployment effective_deployment() const {
-    return deployment.has_value() ? *deployment
-                                  : HierarchyDeployment::from_policy(ecc);
+  /// Alias of `deployment`, kept for the perfbench harness.
+  [[nodiscard]] const HierarchyDeployment& effective_deployment() const {
+    return deployment;
   }
+
+  /// The "laec" deployment, parsed once.
+  [[nodiscard]] static const HierarchyDeployment& default_deployment();
+
   cpu::HazardRule hazard_rule = cpu::HazardRule::kExact;
   cpu::EccSlotPolicy ecc_slot = cpu::EccSlotPolicy::kAuto;
   /// Extension: stride-predicted look-ahead for data-hazard-blocked loads.
@@ -116,13 +110,6 @@ struct SimConfig {
   /// this way and asserts identical stats/rows; leave false otherwise.
   bool force_generic_ecc_path = false;
 
-  /// Decode through each codec's precomputed syndrome LUT (the default).
-  /// --no-lut turns this off, routing every decode through the matrix-math
-  /// reference implementation in all three arrays; the equivalence suite
-  /// asserts the two modes produce byte-identical rows. Orthogonal to
-  /// force_generic_ecc_path (which picks when to decode, not how).
-  bool lut_decode = true;
-
   // Trace (oracle) mode tuning: forced-miss service time. Calibrated so
   // the trace-mode baseline CPI lands near the paper's effective ~1.3
   // (EXPERIMENTS.md, E3 calibration note).
@@ -133,8 +120,26 @@ struct SimConfig {
   u64 max_cycles = 500'000'000;
 };
 
+/// Upper bounds validate_config enforces. Each admits every configuration
+/// the benches, tests and examples build (largest: a 128 KB DL1, 8 ways,
+/// a 64-entry write buffer, 4 cores) with room to spare, and caps what a
+/// job arriving over the wire can make one system allocate.
+inline constexpr u32 kMaxL1Bytes = 1u << 20;
+inline constexpr u32 kMaxL1Ways = 64;
+inline constexpr unsigned kMaxWriteBufferDepth = 1024;
+inline constexpr unsigned kMaxCores = 16;
+
+/// Reject a configuration the simulator cannot run faithfully: L1 sizes
+/// and the line size must be powers of two within bounds, the DL1 ways a
+/// power of two leaving at least one set in both L1 arrays, the write
+/// buffer, multiply/divide latencies and core count at least 1, and
+/// injection probabilities finite and in [0, 1]. Throws std::invalid_argument naming the first offending
+/// field.
+void validate_config(const SimConfig& cfg);
+
 /// Expand a SimConfig into the full system configuration (exposed so tests
-/// and ablations can tweak the result before building a System).
+/// and ablations can tweak the result before building a System). Throws
+/// std::invalid_argument for a configuration validate_config rejects.
 [[nodiscard]] sim::SystemConfig make_system_config(const SimConfig& cfg,
                                                    bool trace_mode = false);
 

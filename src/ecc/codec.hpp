@@ -88,11 +88,10 @@ class Codec {
 
   /// Dense syndrome->correction table, or nullptr when the scheme has none
   /// (external drop-ins, the none codec). The cache arrays snapshot this
-  /// once at construction — when present and enabled
-  /// (CacheConfig::use_lut_decode), word decode becomes a table encode plus
-  /// one load and two XORs instead of the per-codec matrix walk. decode()
-  /// itself always stays the matrix-math reference path so
-  /// SimConfig::lut_decode (--no-lut) can force whole runs through it.
+  /// once at construction — when present, word decode becomes a table
+  /// encode plus one load and two XORs instead of the per-codec matrix
+  /// walk; without one they call decode(). decode() itself always stays
+  /// the matrix-math reference path the LUT tests compare against.
   [[nodiscard]] virtual const DecodeLut* decode_lut() const { return nullptr; }
 
   // --- capability flags (drive cache recovery policy and reporting) -------
@@ -123,7 +122,7 @@ class Codec {
 /// span encoder/decoder and decode_lut() from the tables — so every entry
 /// point is derived from the same two tables and can never disagree. The
 /// virtual decode() override each scheme provides stays pure matrix math:
-/// it is both the builder input and the --no-lut reference path.
+/// it is both the builder input and the reference the LUT tests check.
 ///
 /// Each final class must call build_luts() at the END of its constructor
 /// body (the dynamic type is already Derived there, so the virtual

@@ -23,9 +23,9 @@
 // (encode(0) == 0, so syndrome(0, s) == s) yields the correction masks for
 // every (data, check) pair sharing that syndrome. The matrix path stays
 // alive as the reference implementation; tests/test_lut_decode.cpp proves
-// the two bit-identical over every syndrome, and SimConfig::lut_decode
-// (--no-lut) routes whole simulations through the matrix path so the sweep
-// determinism contract covers the table layer end to end.
+// the two bit-identical over every syndrome, and the fast-path equivalence
+// suite runs whole simulations through LUT-less wrappers of every codec
+// (the caches' matrix branch) and compares their rows.
 #pragma once
 
 #include <cassert>

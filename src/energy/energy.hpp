@@ -67,9 +67,4 @@ struct CodecEnergy {
                                       const core::RunStats& stats,
                                       const core::HierarchyDeployment& deployment);
 
-/// Legacy enum shim: expands `policy` to its canonical deployment.
-[[nodiscard]] EnergyBreakdown compute(const EnergyParams& p,
-                                      const core::RunStats& stats,
-                                      cpu::EccPolicy policy);
-
 }  // namespace laec::energy

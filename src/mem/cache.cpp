@@ -41,7 +41,7 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg)
   if (codec_ != nullptr && codec_->check_bits() == 0) codec_ = nullptr;
   if (codec_ != nullptr) {
     encode_fn_ = codec_->encode_thunk();
-    if (cfg_.use_lut_decode) lut_ = codec_->decode_lut();
+    lut_ = codec_->decode_lut();
   }
   ways_.resize(static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways);
   for (Way& w : ways_) {
@@ -319,18 +319,7 @@ std::vector<u8> SetAssocCache::corrected_line_copy(const Way& way) const {
     return out;
   }
   u32 fixed[kMaxLineWords];
-  if (lut_ != nullptr) {
-    // The built-in codecs' decode_line IS the LUT span decoder; one call.
-    codec_->decode_line(way.words.data(), way.check.data(), fixed, nwords);
-  } else {
-    // Matrix reference path: the base-class decode_line default, inlined so
-    // a --no-lut run never routes through the table-backed override.
-    for (u32 i = 0; i < nwords; ++i) {
-      const auto r = codec_->decode(way.words[i], way.check[i]);
-      fixed[i] = ecc::is_corrected(r.status) ? static_cast<u32>(r.data)
-                                             : way.words[i];
-    }
-  }
+  codec_->decode_line(way.words.data(), way.check.data(), fixed, nwords);
   std::memcpy(out.data(), fixed, cfg_.line_bytes);
   return out;
 }

@@ -101,12 +101,6 @@ struct CacheConfig {
   /// fast-path equivalence suite runs reference points through this and
   /// asserts bit-identical stats/rows; production configs never set it.
   bool force_generic_path = false;
-  /// Decode words through the codec's precomputed syndrome LUT when it has
-  /// one (every built-in linear codec does). Off = the codec's matrix-math
-  /// decode(), the reference implementation; the equivalence suite asserts
-  /// the two produce bit-identical rows. Orthogonal to force_generic_path
-  /// (which picks WHEN to decode, not HOW).
-  bool use_lut_decode = true;
 
   [[nodiscard]] u32 num_sets() const {
     return size_bytes / (line_bytes * ways);
@@ -317,8 +311,8 @@ class SetAssocCache {
   /// Devirtualized encoder snapshot (codec_->encode_thunk()); the per-read
   /// clean test calls it through a plain function pointer.
   ecc::Codec::EncodeFn encode_fn_ = nullptr;
-  /// Syndrome-LUT snapshot (codec_->decode_lut()); nullptr when disabled
-  /// via CacheConfig::use_lut_decode or the codec has no table.
+  /// Syndrome-LUT snapshot (codec_->decode_lut()); nullptr when the codec
+  /// has no table, which routes word decode through codec_->decode().
   const ecc::DecodeLut* lut_ = nullptr;
   std::vector<Way> ways_;
   u64 lru_clock_ = 1;

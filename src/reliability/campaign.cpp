@@ -1,6 +1,7 @@
 #include "reliability/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -66,6 +67,47 @@ std::optional<RatePoint> parse_rate(
   }
 }
 
+void validate_spec(const CampaignSpec& spec) {
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!positive(spec.accel)) {
+    throw std::invalid_argument("campaign accel must be finite and > 0, not " +
+                                fmt_g(spec.accel));
+  }
+  if (!positive(spec.freq_mhz)) {
+    throw std::invalid_argument(
+        "campaign freq_mhz must be finite and > 0, not " +
+        fmt_g(spec.freq_mhz));
+  }
+  if (!(spec.confidence > 0.0 && spec.confidence < 1.0)) {
+    throw std::invalid_argument(
+        "campaign confidence must be in (0, 1), not " +
+        fmt_g(spec.confidence));
+  }
+  if (!std::isfinite(spec.target_half_width) || spec.target_half_width < 0.0) {
+    throw std::invalid_argument(
+        "campaign CI half-width target must be finite and >= 0, not " +
+        fmt_g(spec.target_half_width));
+  }
+  if (spec.trials == 0) {
+    throw std::invalid_argument("campaign trials must be >= 1");
+  }
+  core::validate_config(spec.base);
+}
+
+void validate_rate(const RatePoint& rate) {
+  const ecc::MbuPatternTable& t = rate.patterns;
+  const auto weight = [](double w) { return std::isfinite(w) && w >= 0.0; };
+  if (!std::isfinite(rate.fit_per_mbit) || !(rate.fit_per_mbit > 0.0) ||
+      !weight(t.single) || !weight(t.adjacent_double) ||
+      !weight(t.adjacent_triple) || !weight(t.clustered) ||
+      !(t.total() > 0.0)) {
+    throw std::invalid_argument(
+        "rate \"" + rate.label +
+        "\" needs a finite positive FIT rate and a pattern table of finite "
+        "non-negative weights with a positive total");
+  }
+}
+
 CampaignGrid& CampaignGrid::workloads(std::vector<std::string> names) {
   workloads_ = std::move(names);
   return *this;
@@ -93,13 +135,7 @@ std::vector<CampaignCell> CampaignGrid::cells() const {
   if (rates_.empty()) {
     throw std::invalid_argument("CampaignGrid: the rates axis is empty");
   }
-  for (const auto& r : rates_) {
-    if (!(r.fit_per_mbit > 0.0) || !(r.patterns.total() > 0.0)) {
-      throw std::invalid_argument("CampaignGrid: rate \"" + r.label +
-                                  "\" needs a positive FIT rate and a "
-                                  "non-empty pattern table");
-    }
-  }
+  for (const auto& r : rates_) validate_rate(r);
   // Parse every scheme key once up front (throws for unknown keys).
   for (const auto& s : schemes_) {
     (void)core::HierarchyDeployment::parse(s);
@@ -412,9 +448,8 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
     throw std::invalid_argument(
         "run_campaign: shard_index/shard_count invalid");
   }
-  if (spec.trials == 0) {
-    throw std::invalid_argument("run_campaign: spec.trials must be >= 1");
-  }
+  validate_spec(spec);
+  for (const auto& c : cells) validate_rate(c.rate);
   const unsigned batch = std::max(1u, spec.batch);
   const unsigned min_trials =
       std::min(std::max(1u, spec.min_trials), spec.trials);

@@ -98,8 +98,7 @@ struct CampaignSpec {
   /// all land on dead windows WITHOUT simulating them (their device-hours
   /// are accounted analytically from the golden run). Rows are
   /// byte-identical with pruning on or off — `prune = false` is the
-  /// simulate-everything reference path, same contract as
-  /// CacheConfig::use_lut_decode.
+  /// simulate-everything reference path.
   bool prune = true;
   /// Snapshot fast-forward (the default): the golden run drops full-state
   /// snapshots every `snapshot_every` injector consultations (under the
@@ -107,10 +106,9 @@ struct CampaignSpec {
   /// trial restores the latest snapshot at-or-before its first delivery
   /// ordinal instead of re-simulating the fault-free prefix. Rows are
   /// byte-identical with fast-forward on or off — `fast_forward = false` is
-  /// the simulate-everything reference path, same contract shape as `prune`
-  /// and CacheConfig::use_lut_decode. Composes multiplicatively with
-  /// pruning: pruning kills dead-storm trials, fast-forward shrinks the
-  /// live ones.
+  /// the simulate-everything reference path, same contract shape as
+  /// `prune`. Composes multiplicatively with pruning: pruning kills
+  /// dead-storm trials, fast-forward shrinks the live ones.
   bool fast_forward = true;
   /// Golden-run snapshot cadence, in injector-consultation ordinals.
   /// 0 disables capture (and therefore fast-forwarding). The default is a
@@ -125,6 +123,17 @@ struct CampaignSpec {
   /// Geometry / latency base configuration of every trial.
   core::SimConfig base;
 };
+
+/// Reject a spec no campaign can run meaningfully: accel and freq_mhz
+/// finite and > 0, confidence in (0, 1), target_half_width finite and
+/// >= 0, at least one trial, and a base configuration
+/// core::validate_config accepts. Throws std::invalid_argument.
+void validate_spec(const CampaignSpec& spec);
+
+/// Reject a rate point whose FIT rate is not finite and > 0, or whose
+/// pattern table has a negative or non-finite weight or no positive
+/// total. Throws std::invalid_argument.
+void validate_rate(const RatePoint& rate);
 
 /// One campaign cell: a (workload, scheme, rate) grid point.
 struct CampaignCell {
@@ -306,7 +315,8 @@ struct CampaignSummary {
 [[nodiscard]] std::vector<std::string> campaign_to_row(const CellResult& r);
 
 /// Run `cells` under `spec`. Throws std::invalid_argument for bad shard
-/// options or a spec with no trials.
+/// options, a spec validate_spec rejects or a cell rate validate_rate
+/// rejects, before any worker thread starts.
 [[nodiscard]] CampaignSummary run_campaign(
     const std::vector<CampaignCell>& cells, const CampaignSpec& spec,
     const CampaignOptions& opts = {});

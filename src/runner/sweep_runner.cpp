@@ -163,14 +163,6 @@ SweepGrid& SweepGrid::schemes(std::vector<std::string> keys) {
   return *this;
 }
 
-SweepGrid& SweepGrid::eccs(const std::vector<cpu::EccPolicy>& policies) {
-  schemes_.clear();
-  for (const auto p : policies) {
-    schemes_.emplace_back(to_string(p));
-  }
-  return *this;
-}
-
 SweepGrid& SweepGrid::hazards(std::vector<cpu::HazardRule> rules) {
   hazards_ = std::move(rules);
   return *this;
@@ -213,10 +205,10 @@ std::vector<SweepPoint> SweepGrid::points() const {
 
   // Parse every scheme key once up front (throws for unknown keys before
   // any simulation runs).
-  std::vector<core::EccDeployment> deployments;
+  std::vector<core::HierarchyDeployment> deployments;
   deployments.reserve(schemes_.size());
   for (const auto& s : schemes_) {
-    deployments.push_back(core::EccDeployment::parse(s));
+    deployments.push_back(core::HierarchyDeployment::parse(s));
   }
 
   std::vector<SweepPoint> out;
@@ -227,18 +219,17 @@ std::vector<SweepPoint> SweepGrid::points() const {
       for (const auto& dep : deployments) {
         for (const auto hz : hazards_) {
           for (u64 rep = 0; rep < replicates_; ++rep) {
-            SweepPoint p;
-            p.index = out.size();
-            p.workload = w;
-            p.variant = v.name;
-            p.config = base_;
+            SweepPoint p{.index = out.size(),
+                         .workload = w,
+                         .variant = v.name,
+                         .config = base_,
+                         .mode = mode_,
+                         .trace_ops = trace_ops_,
+                         .replicate = rep,
+                         .resume_from = nullptr};
             if (v.tweak) v.tweak(p.config);
             p.config.deployment = dep;
-            p.config.ecc = dep.timing;
             p.config.hazard_rule = hz;
-            p.mode = mode_;
-            p.trace_ops = trace_ops_;
-            p.replicate = rep;
             out.push_back(std::move(p));
           }
         }
@@ -278,19 +269,9 @@ PointResult run_golden_point(const SweepPoint& point, u64 base_seed,
   return run_point(golden, base_seed, recorder, snapshots);
 }
 
-const std::vector<cpu::EccPolicy>& fig8_schemes() {
-  static const std::vector<cpu::EccPolicy> kSchemes = {
-      cpu::EccPolicy::kNoEcc, cpu::EccPolicy::kExtraCycle,
-      cpu::EccPolicy::kExtraStage, cpu::EccPolicy::kLaec};
-  return kSchemes;
-}
-
 const std::vector<std::string>& fig8_scheme_keys() {
-  static const std::vector<std::string> kKeys = [] {
-    std::vector<std::string> keys;
-    for (const auto p : fig8_schemes()) keys.emplace_back(to_string(p));
-    return keys;
-  }();
+  static const std::vector<std::string> kKeys = {"no-ecc", "extra-cycle",
+                                                 "extra-stage", "laec"};
   return kKeys;
 }
 
@@ -311,8 +292,7 @@ const std::vector<std::string>& row_headers() {
 
 std::vector<std::string> to_row(const PointResult& r) {
   const auto& s = r.stats;
-  const core::HierarchyDeployment dep =
-      r.point.config.effective_deployment();
+  const core::HierarchyDeployment& dep = r.point.config.deployment;
   return {r.point.workload,
           r.point.variant,
           std::string(to_string(r.point.mode)),
@@ -381,14 +361,16 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
     throw std::invalid_argument("run_sweep: shard_index/shard_count invalid");
   }
   // Validate every point up front so worker threads cannot throw: workload
-  // names must resolve, and trace (oracle) points cannot carry fault
-  // injection (there are no arrays to inject into).
+  // names must resolve, configurations must pass core::validate_config,
+  // and trace (oracle) points cannot carry fault injection (there are no
+  // arrays to inject into).
   {
     std::set<std::string> seen;
     for (const auto& p : points) {
       if (seen.insert(p.workload).second) {
         (void)workloads::kernel_by_name(p.workload);  // throws if unknown
       }
+      core::validate_config(p.config);
       if (p.mode == RunMode::kTrace && p.config.faults.has_value()) {
         throw std::invalid_argument(
             "run_sweep: point " + std::to_string(p.index) +

@@ -1,5 +1,7 @@
 #include "service/job.hpp"
 
+#include <stdexcept>
+
 #include "mem/residency.hpp"
 #include "service/wire.hpp"
 #include "sim/snapshot.hpp"
@@ -11,11 +13,10 @@ namespace {
 void put_config(ByteWriter& w, const core::SimConfig& c) {
   // The CLI-settable SimConfig surface, in a fixed order. Fields the
   // campaign overwrites per cell (scheme/deployment, faults,
-  // inject_target) are deliberately absent.
+  // inject_target) and the test-only force_generic_ecc_path are
+  // deliberately absent.
   w.put_u8(static_cast<u8>(c.hazard_rule));
   w.put_u8(c.stride_predictor ? 1 : 0);
-  w.put_u8(c.lut_decode ? 1 : 0);
-  w.put_u8(c.force_generic_ecc_path ? 1 : 0);
   w.put_u32(c.dl1_size_bytes);
   w.put_u32(c.dl1_ways);
   w.put_u32(c.dl1_line_bytes);
@@ -32,11 +33,20 @@ void put_config(ByteWriter& w, const core::SimConfig& c) {
   w.put_u64(c.max_cycles);
 }
 
+/// Read an enum byte, refusing values past `last`.
+template <typename E>
+E get_enum(ByteReader& r, E last, const char* what) {
+  const u8 v = r.get_u8();
+  if (v > static_cast<u8>(last)) {
+    throw WireError(std::string("campaign job names ") + what + " " +
+                    std::to_string(v) + ", which this build does not know");
+  }
+  return static_cast<E>(v);
+}
+
 void get_config(ByteReader& r, core::SimConfig& c) {
-  c.hazard_rule = static_cast<cpu::HazardRule>(r.get_u8());
+  c.hazard_rule = get_enum(r, cpu::HazardRule::kPaperLiteral, "hazard rule");
   c.stride_predictor = r.get_u8() != 0;
-  c.lut_decode = r.get_u8() != 0;
-  c.force_generic_ecc_path = r.get_u8() != 0;
   c.dl1_size_bytes = r.get_u32();
   c.dl1_ways = r.get_u32();
   c.dl1_line_bytes = r.get_u32();
@@ -139,7 +149,7 @@ CampaignJob parse_job(std::string_view bytes) {
   s.batch = r.get_u32();
   s.confidence = r.get_double();
   s.target_half_width = r.get_double();
-  s.target = static_cast<core::InjectTarget>(r.get_u8());
+  s.target = get_enum(r, core::InjectTarget::kL2, "inject target");
   s.prune = r.get_u8() != 0;
   const u32 recorder_version = r.get_u32();
   if (recorder_version != mem::ResidencyRecorder::kVersion) {
@@ -169,6 +179,15 @@ CampaignJob parse_job(std::string_view bytes) {
   job.cells.reserve(static_cast<std::size_t>(n));
   for (u64 i = 0; i < n; ++i) job.cells.push_back(get_cell(r));
   r.expect_end();
+  // Well-framed but out-of-range numbers (zero ways, a NaN acceleration,
+  // an absurd core count) are as hostile as bad framing: refuse them here,
+  // before a daemon worker builds a system from them.
+  try {
+    reliability::validate_spec(s);
+    for (const auto& c : job.cells) reliability::validate_rate(c.rate);
+  } catch (const std::invalid_argument& e) {
+    throw WireError(std::string("campaign job: ") + e.what());
+  }
   return job;
 }
 

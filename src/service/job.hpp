@@ -8,7 +8,7 @@
 // hard error, not silently mixed statistics).
 //
 // The SimConfig portion covers the CLI-settable surface (geometry,
-// latencies, hazard rule, LUT/stride toggles). Per-cell scheme and fault
+// latencies, hazard rule, stride toggle). Per-cell scheme and fault
 // configuration are NOT part of it — run_campaign derives those from each
 // cell's scheme key and rate point, which the cells carry themselves.
 #pragma once
@@ -23,8 +23,9 @@ namespace laec::service {
 
 /// v2: spec.prune + recorder version; v3: fast-forward mode (flag, snapshot
 /// cadence/budget, snapshot frame version); v4: the dead fixed exposure
-/// window left the spec.
-inline constexpr u32 kJobVersion = 4;
+/// window left the spec; v5: the LUT-decode and forced-generic-path bytes
+/// left the config.
+inline constexpr u32 kJobVersion = 5;
 
 struct CampaignJob {
   reliability::CampaignSpec spec;            ///< incl. base SimConfig subset
@@ -40,8 +41,9 @@ struct CampaignJob {
 /// Canonical byte serialization (versioned, little-endian).
 [[nodiscard]] std::string serialize_job(const CampaignJob& job);
 
-/// Inverse of serialize_job. Throws WireError for truncated/alien bytes
-/// or an unsupported job version.
+/// Inverse of serialize_job. Throws WireError for truncated/alien bytes,
+/// an unsupported job version, an unknown enum byte, or a spec or cell
+/// rate that reliability::validate_spec / validate_rate rejects.
 [[nodiscard]] CampaignJob parse_job(std::string_view bytes);
 
 /// Identity hash of a campaign configuration: FNV-1a over the canonical

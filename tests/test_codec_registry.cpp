@@ -4,7 +4,7 @@
 //  * user registration is a one-liner and immediately constructible;
 //  * enum round-trips (CheckStatus / EccPolicy / HazardRule)
 //    are exhaustive in both directions — no "?" placeholders;
-//  * EccDeployment::parse covers policy keys, codec keys and
+//  * HierarchyDeployment::parse covers policy keys, codec keys and
 //    placement:codec combinations.
 #include "ecc/registry.hpp"
 
@@ -129,63 +129,63 @@ TEST(EnumRoundTrips, EccPolicyAndHazardRule) {
 }
 
 // ---------------------------------------------------------------------------
-// EccDeployment string-keyed scheme selection.
+// HierarchyDeployment string-keyed scheme selection.
 // ---------------------------------------------------------------------------
 
-TEST(EccDeployment, PolicyKeysExpandToCanonicalDeployments) {
-  const auto laec = core::EccDeployment::parse("laec");
+TEST(SchemeKey, PolicyKeysExpandToCanonicalDeployments) {
+  const auto laec = core::HierarchyDeployment::parse("laec");
   EXPECT_EQ(laec.codec, "secded-39-32");
   EXPECT_EQ(laec.timing, cpu::EccPolicy::kLaec);
   EXPECT_EQ(laec.write_policy, mem::WritePolicy::kWriteBack);
 
-  const auto wt = core::EccDeployment::parse("wt-parity");
+  const auto wt = core::HierarchyDeployment::parse("wt-parity");
   EXPECT_EQ(wt.codec, "parity-32");
   EXPECT_EQ(wt.write_policy, mem::WritePolicy::kWriteThrough);
   EXPECT_EQ(wt.alloc_policy, mem::AllocPolicy::kNoWriteAllocate);
 
-  const auto none = core::EccDeployment::parse("no-ecc");
+  const auto none = core::HierarchyDeployment::parse("no-ecc");
   EXPECT_EQ(none.codec, "none");
   EXPECT_EQ(none.timing, cpu::EccPolicy::kNoEcc);
 }
 
-TEST(EccDeployment, CodecKeysPickTheirNaturalArrangement) {
-  const auto daec = core::EccDeployment::parse("sec-daec-39-32");
+TEST(SchemeKey, CodecKeysPickTheirNaturalArrangement) {
+  const auto daec = core::HierarchyDeployment::parse("sec-daec-39-32");
   EXPECT_EQ(daec.codec, "sec-daec-39-32");
   EXPECT_EQ(daec.timing, cpu::EccPolicy::kLaec);
   EXPECT_EQ(daec.write_policy, mem::WritePolicy::kWriteBack);
 
-  const auto par = core::EccDeployment::parse("parity-32");
+  const auto par = core::HierarchyDeployment::parse("parity-32");
   EXPECT_EQ(par.timing, cpu::EccPolicy::kWtParity);
   EXPECT_EQ(par.write_policy, mem::WritePolicy::kWriteThrough);
 
-  const auto none = core::EccDeployment::parse("none");
+  const auto none = core::HierarchyDeployment::parse("none");
   EXPECT_EQ(none.timing, cpu::EccPolicy::kNoEcc);
 }
 
-TEST(EccDeployment, PlacementColonCodecCombines) {
-  const auto d = core::EccDeployment::parse("extra-stage:sec-daec-39-32");
+TEST(SchemeKey, PlacementColonCodecCombines) {
+  const auto d = core::HierarchyDeployment::parse("extra-stage:sec-daec-39-32");
   EXPECT_EQ(d.name, "extra-stage:sec-daec-39-32");
   EXPECT_EQ(d.codec, "sec-daec-39-32");
   EXPECT_EQ(d.timing, cpu::EccPolicy::kExtraStage);
   // Detect-only codecs cannot sit in a correcting placement.
-  EXPECT_THROW((void)core::EccDeployment::parse("extra-stage:parity-32"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("extra-stage:parity-32"),
                std::invalid_argument);
-  EXPECT_THROW((void)core::EccDeployment::parse("bogus:secded-39-32"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("bogus:secded-39-32"),
                std::invalid_argument);
 }
 
-TEST(EccDeployment, SixtyFourBitCodecsAreRejectedForTheDl1) {
+TEST(SchemeKey, SixtyFourBitCodecsAreRejectedForTheDl1) {
   // The cache arrays protect 32-bit words; the 64-bit geometries exist in
   // the library (and the registry) but cannot be deployed in the DL1.
-  EXPECT_THROW((void)core::EccDeployment::parse("secded-72-64"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("secded-72-64"),
                std::invalid_argument);
-  EXPECT_THROW((void)core::EccDeployment::parse("laec:sec-daec-72-64"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("laec:sec-daec-72-64"),
                std::invalid_argument);
 }
 
-TEST(EccDeployment, UnknownKeyFailsWithKnownChoices) {
+TEST(SchemeKey, UnknownKeyFailsWithKnownChoices) {
   try {
-    (void)core::EccDeployment::parse("quantum-ecc");
+    (void)core::HierarchyDeployment::parse("quantum-ecc");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -195,12 +195,11 @@ TEST(EccDeployment, UnknownKeyFailsWithKnownChoices) {
   }
 }
 
-TEST(EccDeployment, SimConfigSetSchemeKeepsEnumInSync) {
+TEST(SchemeKey, SimConfigSetSchemeSelectsTheDeployment) {
   core::SimConfig cfg;
   cfg.set_scheme("sec-daec-39-32");
-  EXPECT_EQ(cfg.ecc, cpu::EccPolicy::kLaec);
-  ASSERT_TRUE(cfg.deployment.has_value());
-  EXPECT_EQ(cfg.deployment->codec, "sec-daec-39-32");
+  EXPECT_EQ(cfg.deployment.timing, cpu::EccPolicy::kLaec);
+  EXPECT_EQ(cfg.deployment.codec, "sec-daec-39-32");
   const auto sc = core::make_system_config(cfg);
   ASSERT_NE(sc.core.dl1.cache.codec, nullptr);
   EXPECT_EQ(sc.core.dl1.cache.codec->name(), "sec-daec-39-32");

@@ -4,10 +4,11 @@
 // EncodeLut and its matrix decode into a dense syndrome DecodeLut
 // (src/ecc/lut.hpp). The contract is bit-identity: for every codec, every
 // syndrome and any data word, the table path must reproduce the matrix
-// path's (status, data, check) triple exactly — the caches switch between
-// the two with CacheConfig::use_lut_decode and the sweep determinism
-// contract compares their CSV output byte-for-byte. The syndrome spaces
-// are small enough (<= 2^13) to verify EXHAUSTIVELY here.
+// path's (status, data, check) triple exactly — a cache decodes through
+// the table whenever its codec has one, and test_fastpath_equivalence
+// compares whole-simulation rows against LUT-less twins of every codec.
+// The syndrome spaces are small enough (<= 2^13) to verify EXHAUSTIVELY
+// here.
 //
 // Also pins down Codec::decode_line's fallback semantics: a detected-but-
 // uncorrectable word passes through AS STORED on the writeback path, for

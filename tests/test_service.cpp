@@ -12,10 +12,13 @@
 #include <bit>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "reliability/campaign.hpp"
@@ -248,12 +251,99 @@ TEST(CampaignJob, ParseRejectsTruncatedAndAlienBytes) {
   EXPECT_THROW((void)parse_job(bytes.substr(0, bytes.size() / 2)), WireError);
   EXPECT_THROW((void)parse_job("alien"), WireError);
   EXPECT_THROW((void)parse_job(bytes + "trailing"), WireError);
-  // A job from the previous wire version (which still carried the fixed
-  // exposure window) is refused, never misparsed. The version is the
-  // leading little-endian u32.
+  // A job from the previous wire version (which still carried the
+  // LUT-decode and forced-generic-path bytes) is refused, never misparsed.
+  // The version is the leading little-endian u32.
   std::string previous = bytes;
   previous[0] = static_cast<char>(kJobVersion - 1);
   EXPECT_THROW((void)parse_job(previous), WireError);
+}
+
+TEST(CampaignJob, ParseRejectsEveryOutOfRangeField) {
+  // Well-framed bytes carrying values no campaign can run: each must be a
+  // WireError at parse time, before a daemon worker builds a system from
+  // it (zero ways divided by zero; zero sets or lines indexed out of
+  // bounds; a huge core count or cache allocated without limit).
+  ASSERT_NO_THROW((void)parse_job(serialize_job(sample_job())));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(CampaignJob&)>>>
+      hostile = {
+          {"dl1 ways 0", [](CampaignJob& j) { j.spec.base.dl1_ways = 0; }},
+          {"dl1 ways 3", [](CampaignJob& j) { j.spec.base.dl1_ways = 3; }},
+          {"dl1 ways > bound",
+           [](CampaignJob& j) { j.spec.base.dl1_ways = 128; }},
+          {"dl1 size 0",
+           [](CampaignJob& j) { j.spec.base.dl1_size_bytes = 0; }},
+          {"dl1 size 3 KB",
+           [](CampaignJob& j) { j.spec.base.dl1_size_bytes = 3 * 1024; }},
+          {"dl1 size > bound",
+           [](CampaignJob& j) { j.spec.base.dl1_size_bytes = 1u << 31; }},
+          {"dl1 without one set",
+           [](CampaignJob& j) {
+             j.spec.base.dl1_size_bytes = 1024;
+             j.spec.base.dl1_ways = 64;
+           }},
+          {"l1i size 3 KB",
+           [](CampaignJob& j) { j.spec.base.l1i_size_bytes = 3 * 1024; }},
+          {"line 2 B", [](CampaignJob& j) { j.spec.base.dl1_line_bytes = 2; }},
+          {"line 48 B",
+           [](CampaignJob& j) { j.spec.base.dl1_line_bytes = 48; }},
+          {"line > bound",
+           [](CampaignJob& j) { j.spec.base.dl1_line_bytes = 512; }},
+          {"write buffer 0",
+           [](CampaignJob& j) { j.spec.base.write_buffer_depth = 0; }},
+          {"write buffer > bound",
+           [](CampaignJob& j) { j.spec.base.write_buffer_depth = 1u << 30; }},
+          {"div latency 0",
+           [](CampaignJob& j) { j.spec.base.div_latency = 0; }},
+          {"mul latency 0",
+           [](CampaignJob& j) { j.spec.base.mul_latency = 0; }},
+          {"cores 0", [](CampaignJob& j) { j.spec.base.num_cores = 0; }},
+          {"cores > bound",
+           [](CampaignJob& j) { j.spec.base.num_cores = 1u << 20; }},
+          {"hazard rule byte",
+           [](CampaignJob& j) {
+             j.spec.base.hazard_rule = static_cast<cpu::HazardRule>(7);
+           }},
+          {"inject target byte",
+           [](CampaignJob& j) {
+             j.spec.target = static_cast<core::InjectTarget>(7);
+           }},
+          {"accel -1", [](CampaignJob& j) { j.spec.accel = -1.0; }},
+          {"accel 0", [](CampaignJob& j) { j.spec.accel = 0.0; }},
+          {"accel nan", [nan](CampaignJob& j) { j.spec.accel = nan; }},
+          {"accel inf", [inf](CampaignJob& j) { j.spec.accel = inf; }},
+          {"freq 0", [](CampaignJob& j) { j.spec.freq_mhz = 0.0; }},
+          {"freq nan", [nan](CampaignJob& j) { j.spec.freq_mhz = nan; }},
+          {"confidence 0", [](CampaignJob& j) { j.spec.confidence = 0.0; }},
+          {"confidence 1", [](CampaignJob& j) { j.spec.confidence = 1.0; }},
+          {"confidence 2", [](CampaignJob& j) { j.spec.confidence = 2.0; }},
+          {"confidence nan",
+           [nan](CampaignJob& j) { j.spec.confidence = nan; }},
+          {"half-width -1",
+           [](CampaignJob& j) { j.spec.target_half_width = -1.0; }},
+          {"half-width nan",
+           [nan](CampaignJob& j) { j.spec.target_half_width = nan; }},
+          {"trials 0", [](CampaignJob& j) { j.spec.trials = 0; }},
+          {"rate fit -1",
+           [](CampaignJob& j) { j.cells[0].rate.fit_per_mbit = -1.0; }},
+          {"rate fit inf",
+           [inf](CampaignJob& j) { j.cells[0].rate.fit_per_mbit = inf; }},
+          {"rate fit nan",
+           [nan](CampaignJob& j) { j.cells[0].rate.fit_per_mbit = nan; }},
+          {"pattern weight -1",
+           [](CampaignJob& j) { j.cells[1].rate.patterns.single = -1.0; }},
+          {"pattern weight nan",
+           [nan](CampaignJob& j) { j.cells[1].rate.patterns.clustered = nan; }},
+          {"empty pattern table",
+           [](CampaignJob& j) { j.cells[0].rate.patterns = {0, 0, 0, 0}; }},
+      };
+  for (const auto& [what, mutate] : hostile) {
+    CampaignJob job = sample_job();
+    mutate(job);
+    EXPECT_THROW((void)parse_job(serialize_job(job)), WireError) << what;
+  }
 }
 
 // --- daemon end to end ------------------------------------------------------
@@ -363,6 +453,29 @@ TEST(Daemon, RejectsJobsWithUnknownSchemeOrWorkload) {
   EXPECT_THROW((void)submit_job(daemon.socket_path, job, w),
                std::runtime_error);
   // The daemon survives a rejected job and still serves good ones.
+  EXPECT_EQ(submit_csv(daemon.socket_path, sample_job()),
+            local_csv(sample_job()));
+}
+
+TEST(Daemon, RejectsOutOfRangeJobAndKeepsServing) {
+  // Zero DL1 ways used to reach a worker thread and kill the daemon with
+  // SIGFPE. Now the job is refused at parse time and counted, and the next
+  // valid job still streams exact rows.
+  DaemonFixture daemon;
+  CampaignJob bad = sample_job();
+  bad.spec.base.dl1_ways = 0;
+  std::ostringstream out;
+  report::CsvWriter w(out);
+  try {
+    (void)submit_job(daemon.socket_path, bad, w);
+    ADD_FAILURE() << "an out-of-range job was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("job rejected"), std::string::npos)
+        << e.what();
+  }
+  const DaemonStatus status = request_status(daemon.socket_path);
+  EXPECT_EQ(status.jobs_rejected, 1u);
+  EXPECT_EQ(status.jobs_accepted, 0u);
   EXPECT_EQ(submit_csv(daemon.socket_path, sample_job()),
             local_csv(sample_job()));
 }

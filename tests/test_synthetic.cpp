@@ -11,7 +11,7 @@ namespace {
 
 core::RunStats run_synthetic(const SyntheticParams& p, cpu::EccPolicy ecc) {
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.set_scheme(to_string(ecc));
   SyntheticTrace trace(p);
   return core::run_trace(cfg, trace);
 }

@@ -54,9 +54,16 @@
 //   --hazard=<exact|paper>       LAEC hazard rule
 //   --stride-predictor           enable the A4 extension
 //   --dl1-kb=<n> --dl1-ways=<n> --wbuf=<n> --div=<n> --mem=<n>
+//                                (core::validate_config bounds: DL1 a
+//                                power of two up to 1024 KB, ways a power
+//                                of two up to 64 with at least one set,
+//                                wbuf 1 to 1024, div at least 1; out of
+//                                range exits 2)
 //   --ops=<n>                    trace length (trace mode)
 //   --inject-single=<p>          per-access single-bit-flip probability
+//                                in [0, 1]
 //   --inject-double=<p>          per-access double-bit-flip probability
+//                                in [0, 1]
 //   --inject-adjacent            make double flips strike adjacent bits
 //   --inject-target=<dl1|l1i|l2> which cache array the storm strikes
 //   --csv                        machine-readable one-line output
@@ -81,10 +88,10 @@
 //                                or numeric raw FIT/Mbit values
 //   --trials=<n>                 Monte Carlo trials per cell (default 96)
 //   --min-trials=<n> --batch=<n> stopping-rule schedule
-//   --confidence=<c>             CI level (default 0.95)
+//   --confidence=<c>             CI level in (0, 1) (default 0.95)
 //   --ci-width=<w>               stop a cell early once the Wilson CI
 //                                half-width on p_fail drops to w
-//   --accel=<a>                  fault-process time acceleration
+//   --accel=<a>                  fault-process time acceleration (> 0)
 //   --mbu=s:W,adj2:W,adj3:W,cluster:W
 //                                MBU pattern-probability table; overrides
 //                                every rate's shape mix (without it,
@@ -269,12 +276,12 @@ bool take_double(const std::string& flag, const std::string& v, CliOptions& o,
 }
 
 /// Split a comma-separated --ecc value into scheme keys and validate each
-/// against EccDeployment::parse. The first key also configures the single-
-/// run config (run/trace/compare use exactly one scheme).
+/// against HierarchyDeployment::parse. The first key also configures the
+/// single-run config (run/trace/compare use exactly one scheme).
 void parse_ecc(const std::string& v, CliOptions& o) {
   for (const std::string& key : split_csv(v)) {
     try {
-      (void)core::EccDeployment::parse(key);
+      (void)core::HierarchyDeployment::parse(key);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--ecc: %s\n", e.what());
       o.ok = false;
@@ -359,10 +366,6 @@ CliOptions parse(int argc, char** argv) {
       }
     } else if (arg == "--stride-predictor") {
       o.cfg.stride_predictor = true;
-    } else if (arg == "--no-lut") {
-      o.cfg.lut_decode = false;
-    } else if (arg == "--lut") {
-      o.cfg.lut_decode = true;
     } else if (arg == "--no-prune") {
       o.campaign.prune = false;
       o.campaign_only_flags.push_back(arg);
@@ -661,7 +664,7 @@ u64 print_heartbeat(double elapsed, double window_secs, u64 prev_done) {
 
 void print_stats(const CliOptions& o, const core::RunStats& s,
                  int check_failures) {
-  const core::EccDeployment dep = o.cfg.effective_deployment();
+  const core::HierarchyDeployment& dep = o.cfg.deployment;
   if (o.csv) {
     std::printf(
         "%s,%s,%llu,%llu,%.4f,%llu,%llu,%llu,%llu,%llu,%d\n",
@@ -854,6 +857,8 @@ int cmd_sweep(const CliOptions& o) {
       .mode(o.sweep_trace ? runner::RunMode::kTrace
                           : runner::RunMode::kProgram)
       .trace_ops(o.trace_ops);
+  // Refuse bad machine flags before --out truncates anything.
+  core::validate_config(o.cfg);
 
   OutputTarget target;
   if (!target.open(o)) return 2;
@@ -954,6 +959,9 @@ int cmd_campaign(const CliOptions& o) {
   reliability::CampaignSpec spec;
   std::vector<reliability::CampaignCell> cells;
   if (!build_campaign_inputs(o, spec, cells)) return 2;
+  // Refuse bad flags before --out truncates anything. (submit leaves this
+  // to the daemon, which applies the same check to every job.)
+  reliability::validate_spec(spec);
 
   const bool checkpointing = !o.checkpoint_path.empty();
   if (o.resume && !checkpointing) {
@@ -1227,11 +1235,13 @@ void usage() {
       "                             `laec_cli schemes`; comma list is\n"
       "                             sweep/campaign-only)\n"
       "  --hazard=exact|paper  --stride-predictor  --csv\n"
-      "  --no-lut / --lut           matrix-math vs syndrome-LUT decode\n"
-      "                             (bit-identical; --no-lut is the\n"
-      "                             validation reference path)\n"
       "  --dl1-kb=N --dl1-ways=N --wbuf=N --div=N --mem=N --ops=N\n"
-      "  --inject-single=P  --inject-double=P  --inject-adjacent\n"
+      "                             (dl1-kb: power of two up to 1024;\n"
+      "                             dl1-ways: power of two up to 64 leaving\n"
+      "                             at least one set; wbuf: 1 to 1024;\n"
+      "                             div: at least 1)\n"
+      "  --inject-single=P  --inject-double=P  (P in [0, 1])\n"
+      "  --inject-adjacent\n"
       "  --inject-target=dl1|l1i|l2\n"
       "sweep/campaign mode:\n"
       "  --threads=N  --shard=I/N  --format=csv|jsonl|col\n"
@@ -1242,8 +1252,9 @@ void usage() {
       "                             identical traced or not (also: serve)\n"
       "campaign mode:\n"
       "  --rates=R[,R...]  (65nm|40nm|28nm or FIT/Mbit)  --trials=N\n"
-      "  --min-trials=N  --batch=N  --confidence=C  --ci-width=W\n"
-      "  --accel=A  --mbu=single:W,adj2:W,adj3:W,cluster:W\n"
+      "  --min-trials=N  --batch=N  --confidence=C (0<C<1)\n"
+      "  --ci-width=W (W>=0)  --accel=A (A>0)\n"
+      "  --mbu=single:W,adj2:W,adj3:W,cluster:W\n"
       "  --prune / --no-prune       golden-run residency pruning: classify\n"
       "                             provably-masked trials without\n"
       "                             simulating them (byte-identical rows;\n"
