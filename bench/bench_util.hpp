@@ -3,16 +3,40 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "core/simulator.hpp"
 #include "runner/sweep_runner.hpp"
 #include "workloads/eembc.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace laec::bench {
+
+/// Numeric flag `arg` of the form `<prefix><value>`: false when `arg` has
+/// another prefix; otherwise stores the value, parsed strictly (unsigned
+/// or double, after `out`'s type) into `out`, and throws
+/// std::invalid_argument if it is malformed.
+template <typename T>
+[[nodiscard]] bool take_number(const std::string& arg, const char* prefix,
+                               T& out) {
+  const std::string p = prefix;
+  if (arg.rfind(p, 0) != 0) return false;
+  const std::string v = arg.substr(p.size());
+  std::optional<T> parsed;
+  if constexpr (std::is_floating_point_v<T>) {
+    parsed = parse_double_strict(v);
+  } else {
+    parsed = parse_uint_strict<T>(v);
+  }
+  if (!parsed.has_value()) throw std::invalid_argument(arg);
+  out = *parsed;
+  return true;
+}
 
 /// Shared argv loop for the bench mains: consumes the sweep flags every
 /// bench accepts (--threads=N) into `opts` and hands anything else to
@@ -26,9 +50,7 @@ template <typename ExtraFn>
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--threads=", 0) == 0) {
-        opts.threads = static_cast<unsigned>(std::stoul(arg.substr(10)));
-      } else if (!extra(arg)) {
+      if (!take_number(arg, "--threads=", opts.threads) && !extra(arg)) {
         throw std::invalid_argument(arg);
       }
     }

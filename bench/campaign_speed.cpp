@@ -80,26 +80,20 @@ int main(int argc, char** argv) {
           "[--min-total-speedup=S]\n"
           "                      [--trace=FILE] [--json]\n",
           [&](const std::string& arg) {
-            if (arg.rfind("--trials=", 0) == 0) {
-              trials = std::stoull(arg.substr(9));
-            } else if (arg.rfind("--accel-saturated=", 0) == 0) {
-              accel_saturated = std::stod(arg.substr(18));
-            } else if (arg.rfind("--accel=", 0) == 0) {
-              accel = std::stod(arg.substr(8));
-            } else if (arg.rfind("--min-speedup=", 0) == 0) {
-              min_speedup = std::stod(arg.substr(14));
-            } else if (arg.rfind("--min-ff-speedup=", 0) == 0) {
-              min_ff_speedup = std::stod(arg.substr(17));
-            } else if (arg.rfind("--min-total-speedup=", 0) == 0) {
-              min_total_speedup = std::stod(arg.substr(20));
-            } else if (arg.rfind("--trace=", 0) == 0) {
+            if (arg.rfind("--trace=", 0) == 0) {
               trace_path = arg.substr(8);
-            } else if (arg == "--json") {
-              json = true;
-            } else {
-              return false;
+              return true;
             }
-            return true;
+            if (arg == "--json") return json = true;
+            return bench::take_number(arg, "--trials=", trials) ||
+                   bench::take_number(arg, "--accel-saturated=",
+                                      accel_saturated) ||
+                   bench::take_number(arg, "--accel=", accel) ||
+                   bench::take_number(arg, "--min-speedup=", min_speedup) ||
+                   bench::take_number(arg, "--min-ff-speedup=",
+                                      min_ff_speedup) ||
+                   bench::take_number(arg, "--min-total-speedup=",
+                                      min_total_speedup);
           })) {
     return 2;
   }

@@ -61,21 +61,11 @@ int main(int argc, char** argv) {
           "usage: fig10_reliability [--threads=N] [--trials=N] [--rate=F]\n"
           "                         [--accel=A] [--all] [--csv]\n",
           [&](const std::string& arg) {
-            if (arg.rfind("--trials=", 0) == 0) {
-              trials = std::stoull(arg.substr(9));
-              return true;
-            }
-            if (arg.rfind("--rate=", 0) == 0) {
-              rate = std::stod(arg.substr(7));
-              return true;
-            }
-            if (arg.rfind("--accel=", 0) == 0) {
-              accel = std::stod(arg.substr(8));
-              return true;
-            }
             if (arg == "--all") return all = true;
             if (arg == "--csv") return csv = true;
-            return false;
+            return bench::take_number(arg, "--trials=", trials) ||
+                   bench::take_number(arg, "--rate=", rate) ||
+                   bench::take_number(arg, "--accel=", accel);
           })) {
     return 2;
   }

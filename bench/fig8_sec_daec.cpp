@@ -52,12 +52,8 @@ int main(int argc, char** argv) {
           argc, argv, opts,
           "usage: fig8_sec_daec [--threads=N] [--rate=P] [--csv]\n",
           [&](const std::string& arg) {
-            if (arg.rfind("--rate=", 0) == 0) {
-              rate = std::stod(arg.substr(7));
-              return true;
-            }
             if (arg == "--csv") return csv = true;
-            return false;
+            return bench::take_number(arg, "--rate=", rate);
           })) {
     return 2;
   }

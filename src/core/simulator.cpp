@@ -19,21 +19,15 @@ namespace {
   throw std::invalid_argument("invalid configuration: " + what);
 }
 
-/// One set-associative L1 array: a power-of-two size holding at least one
-/// set of `ways` lines. (The set index is a mask, so the set count must be
-/// a power of two too; with power-of-two size, line and ways it is.)
+/// One L1 array: a geometry the cache can index, no larger than
+/// kMaxL1Bytes.
 void check_l1(const char* name, u32 size_bytes, u32 line_bytes, u32 ways) {
-  const std::string n = name;
-  if (!is_pow2(size_bytes) || size_bytes > kMaxL1Bytes) {
-    reject(n + " size " + std::to_string(size_bytes) +
-           " B is not a power of two up to " + std::to_string(kMaxL1Bytes) +
-           " B");
+  if (size_bytes > kMaxL1Bytes) {
+    reject(std::string(name) + " size " + std::to_string(size_bytes) +
+           " B is more than " + std::to_string(kMaxL1Bytes) + " B");
   }
-  if (static_cast<u64>(line_bytes) * ways > size_bytes) {
-    reject(n + " of " + std::to_string(size_bytes) + " B cannot hold one set" +
-           " of " + std::to_string(ways) + " " + std::to_string(line_bytes) +
-           " B lines");
-  }
+  const std::string e = mem::geometry_error(size_bytes, line_bytes, ways);
+  if (!e.empty()) reject(std::string(name) + " " + e);
 }
 
 bool is_probability(double p) {
@@ -48,12 +42,6 @@ const HierarchyDeployment& SimConfig::default_deployment() {
 }
 
 void validate_config(const SimConfig& cfg) {
-  if (!is_pow2(cfg.dl1_line_bytes) || cfg.dl1_line_bytes < 4 ||
-      cfg.dl1_line_bytes > mem::SetAssocCache::kMaxLineBytes) {
-    reject("line size " + std::to_string(cfg.dl1_line_bytes) +
-           " B is not a power of two from 4 B to " +
-           std::to_string(mem::SetAssocCache::kMaxLineBytes) + " B");
-  }
   if (!is_pow2(cfg.dl1_ways) || cfg.dl1_ways > kMaxL1Ways) {
     reject("DL1 ways " + std::to_string(cfg.dl1_ways) +
            " is not a power of two from 1 to " + std::to_string(kMaxL1Ways));

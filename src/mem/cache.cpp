@@ -19,18 +19,31 @@
 
 namespace laec::mem {
 
+std::string geometry_error(u32 size_bytes, u32 line_bytes, u32 ways) {
+  const auto bytes = [](u32 n) { return std::to_string(n) + " B"; };
+  if (!is_pow2(size_bytes)) {
+    return "size " + bytes(size_bytes) + " is not a power of two";
+  }
+  // The line bound is hard: the bulk-decode scratch on the writeback path
+  // is a fixed stack array.
+  if (!is_pow2(line_bytes) || line_bytes < 4 ||
+      line_bytes > SetAssocCache::kMaxLineBytes) {
+    return "line " + bytes(line_bytes) + " is not a power of two from 4 B to " +
+           bytes(SetAssocCache::kMaxLineBytes);
+  }
+  if (ways == 0 || size_bytes % (static_cast<u64>(line_bytes) * ways) != 0) {
+    return "size " + bytes(size_bytes) + " is not a whole number of sets of " +
+           std::to_string(ways) + " " + bytes(line_bytes) + " lines";
+  }
+  return "";
+}
+
 SetAssocCache::SetAssocCache(const CacheConfig& cfg)
     : cfg_(cfg), codec_(cfg.codec.get()) {
-  assert(is_pow2(cfg_.size_bytes) && is_pow2(cfg_.line_bytes));
-  assert(cfg_.size_bytes % (cfg_.line_bytes * cfg_.ways) == 0);
-  assert(cfg_.line_bytes % 4 == 0);
-  // Hard runtime bound (line_bytes is user-settable through SimConfig):
-  // the bulk-decode scratch on the writeback path is a fixed stack array.
-  if (cfg_.line_bytes > kMaxLineBytes) {
-    throw std::invalid_argument(
-        "cache \"" + cfg_.name + "\": line_bytes " +
-        std::to_string(cfg_.line_bytes) + " exceeds the supported maximum " +
-        std::to_string(kMaxLineBytes));
+  if (const std::string e =
+          geometry_error(cfg_.size_bytes, cfg_.line_bytes, cfg_.ways);
+      !e.empty()) {
+    throw std::invalid_argument("cache \"" + cfg_.name + "\": " + e);
   }
   assert((codec_ == nullptr || codec_->data_bits() == 32) &&
          "cache arrays protect 32-bit words");

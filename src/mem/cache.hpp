@@ -107,6 +107,15 @@ struct CacheConfig {
   }
 };
 
+/// Why an array of `size_bytes` in `line_bytes` lines and `ways` ways
+/// cannot be built, or "" when it can: the size and the line must be
+/// powers of two, the line from 4 B to SetAssocCache::kMaxLineBytes,
+/// and the size a whole number of sets of at least one way (with
+/// power-of-two size and line, that makes the ways and the set count
+/// powers of two too).
+[[nodiscard]] std::string geometry_error(u32 size_bytes, u32 line_bytes,
+                                         u32 ways);
+
 /// Outcome of reading one protected word from the array.
 struct WordRead {
   u32 value = 0;
@@ -137,6 +146,7 @@ class SetAssocCache {
   static constexpr u32 kMaxLineBytes = 256;
   static constexpr u32 kMaxLineWords = kMaxLineBytes / 4;
 
+  /// Throws std::invalid_argument when geometry_error() refuses `cfg`.
   explicit SetAssocCache(const CacheConfig& cfg);
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }

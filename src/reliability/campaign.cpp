@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/parse.hpp"
 #include "core/deployment.hpp"
 #include "ecc/registry.hpp"
 #include "mem/residency.hpp"
@@ -52,19 +53,14 @@ std::optional<RatePoint> tech_preset(std::string_view name) {
 std::optional<RatePoint> parse_rate(
     std::string_view token, const ecc::MbuPatternTable& default_patterns) {
   if (auto p = tech_preset(token); p.has_value()) return p;
-  try {
-    std::size_t used = 0;
-    const std::string s(token);
-    const double fit = std::stod(s, &used);
-    if (used != s.size() || !(fit > 0.0)) return std::nullopt;
-    RatePoint r;
-    r.label = s;
-    r.fit_per_mbit = fit;
-    r.patterns = default_patterns;
-    return r;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  const std::string s(token);
+  const auto fit = parse_double_strict(s);
+  if (!fit.has_value() || !(*fit > 0.0)) return std::nullopt;
+  RatePoint r;
+  r.label = s;
+  r.fit_per_mbit = *fit;
+  r.patterns = default_patterns;
+  return r;
 }
 
 void validate_spec(const CampaignSpec& spec) {

@@ -107,16 +107,17 @@ std::string serialize_job(const CampaignJob& job) {
   w.put_double(s.confidence);
   w.put_double(s.target_half_width);
   w.put_u8(static_cast<u8>(s.target));
-  // The prune mode is part of the identity (a --prune run never silently
+  // The prune mode is part of the identity (a pruning run never silently
   // resumes a --no-prune checkpoint), and so is the recorder revision: the
   // recorded windows define every trial's RNG stream, so cursors taken
   // under different recording semantics are a different campaign.
   w.put_u8(s.prune ? 1 : 0);
   w.put_u32(mem::ResidencyRecorder::kVersion);
-  // Fast-forward mode is identity the same way prune is (a --ff run never
-  // silently resumes a --no-ff checkpoint — the rows are byte-identical but
-  // the operator asked for a specific reference mode), and the snapshot
-  // cadence/budget and frame revision pin WHICH snapshots existed.
+  // Fast-forward mode is identity the same way prune is (a fast-forwarding
+  // run never silently resumes a --no-ff checkpoint — the rows are
+  // byte-identical but the operator asked for a specific reference mode),
+  // and the snapshot cadence/budget and frame revision pin WHICH snapshots
+  // existed.
   w.put_u8(s.fast_forward ? 1 : 0);
   w.put_u32(s.snapshot_every);
   w.put_u32(s.snapshot_mem_mb);

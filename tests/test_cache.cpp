@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string_view>
 
 #include "ecc/registry.hpp"
@@ -75,6 +76,27 @@ TEST(Cache, WriteThroughNeverDirty) {
   c.fill(0x400, data.data(), false);
   c.write(0x400, 4, 1, true);
   EXPECT_FALSE(c.line_dirty(0x400));
+}
+
+TEST(Cache, RefusesGeometryItCannotIndex) {
+  const auto with = [](u32 size, u32 line, u32 ways) {
+    CacheConfig c = small_cfg();
+    c.size_bytes = size;
+    c.line_bytes = line;
+    c.ways = ways;
+    return c;
+  };
+  EXPECT_NO_THROW(SetAssocCache{with(1024, 32, 2)});
+  EXPECT_NO_THROW(SetAssocCache{with(64, 32, 2)});  // one set
+  EXPECT_THROW(SetAssocCache{with(1024, 32, 0)}, std::invalid_argument);
+  EXPECT_THROW(SetAssocCache{with(3072, 32, 2)}, std::invalid_argument);
+  EXPECT_THROW(SetAssocCache{with(1024, 48, 2)}, std::invalid_argument);
+  EXPECT_THROW(SetAssocCache{with(1024, 2, 2)}, std::invalid_argument);
+  EXPECT_THROW(SetAssocCache{with(1024, 512, 1)}, std::invalid_argument);
+  EXPECT_THROW(SetAssocCache{with(1024, 32, 3)}, std::invalid_argument);
+  EXPECT_THROW(SetAssocCache{with(32, 32, 2)}, std::invalid_argument);
+  EXPECT_NE(geometry_error(1024, 32, 0), "");
+  EXPECT_EQ(geometry_error(1024, 32, 4), "");
 }
 
 TEST(Cache, LruEviction) {
