@@ -3,6 +3,8 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/bitops.hpp"
 #include "ecc/registry.hpp"
@@ -58,6 +60,19 @@ void validate_config(const SimConfig& cfg) {
     // The EX stage counts an iterative unit's latency down from this value;
     // zero would wrap and stall the pipeline until max_cycles.
     reject("multiply and divide latencies must be at least 1 cycle");
+  }
+  for (const auto& [name, cycles] :
+       {std::pair{"multiply latency", cfg.mul_latency},
+        {"divide latency", cfg.div_latency},
+        {"bus request latency", cfg.bus_request_cycles},
+        {"bus response latency", cfg.bus_response_cycles},
+        {"L2 hit latency", cfg.l2_hit_cycles},
+        {"L2 write latency", cfg.l2_write_cycles},
+        {"main-memory latency", cfg.memory_cycles}}) {
+    if (cycles > kMaxLatencyCycles) {
+      reject(std::string(name) + " " + std::to_string(cycles) +
+             " is above " + std::to_string(kMaxLatencyCycles) + " cycles");
+    }
   }
   if (cfg.num_cores == 0 || cfg.num_cores > kMaxCores) {
     reject("core count " + std::to_string(cfg.num_cores) +
@@ -288,8 +303,11 @@ ProgramRun run_program_keep_system(const SimConfig& cfg,
           obs::Span span("snapshot-capture");
           span.arg("ordinal", consults);
           span.arg("cycle", sys.now());
-          snapshots->add(consults, sys.now(), sim::save_system_state(sys));
-          obs::Registry::global().counter("snapshot.captures").add();
+          std::string blob = sim::save_system_state(sys);
+          auto& reg = obs::Registry::global();
+          reg.counter("snapshot.captures").add();
+          reg.counter("snapshot.bytes_captured").add(blob.size());
+          snapshots->add(consults, sys.now(), std::move(blob));
         }
         next_threshold = consults + snapshots->every();
       }
@@ -320,7 +338,9 @@ ProgramRun run_program_resume(const SimConfig& cfg, const std::string& blob,
     span.arg("ordinal", consult_ordinal);
     span.arg("bytes", static_cast<u64>(blob.size()));
     sim::restore_system_state(*r.system, blob);
-    obs::Registry::global().counter("snapshot.restores").add();
+    auto& reg = obs::Registry::global();
+    reg.counter("snapshot.restores").add();
+    reg.counter("snapshot.bytes_restored").add(blob.size());
   }
   r.injector = attach_injector(*r.system, cfg);
   if (r.injector != nullptr) r.injector->fast_forward(consult_ordinal);

@@ -128,12 +128,17 @@ inline constexpr u32 kMaxL1Bytes = 1u << 20;
 inline constexpr u32 kMaxL1Ways = 64;
 inline constexpr unsigned kMaxWriteBufferDepth = 1024;
 inline constexpr unsigned kMaxCores = 16;
+/// Cap on every latency knob (multiply, divide, bus, L2, main memory).
+/// Each is counted down one cycle per unit, so an unbounded value lets one
+/// job spend its whole max_cycles budget on a single instruction.
+inline constexpr unsigned kMaxLatencyCycles = 4096;
 
 /// Reject a configuration the simulator cannot run faithfully: L1 sizes
 /// and the line size must be powers of two within bounds, the DL1 ways a
 /// power of two leaving at least one set in both L1 arrays, the write
-/// buffer, multiply/divide latencies and core count at least 1, and
-/// injection probabilities finite and in [0, 1]. Throws std::invalid_argument naming the first offending
+/// buffer, multiply/divide latencies and core count at least 1, every
+/// latency at most kMaxLatencyCycles, and injection probabilities finite
+/// and in [0, 1]. Throws std::invalid_argument naming the first offending
 /// field.
 void validate_config(const SimConfig& cfg);
 

@@ -1,5 +1,6 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -350,7 +351,20 @@ void SetAssocCache::save_state(service::ByteWriter& w) const {
   flush_counters();
   w.put_u64(lru_clock_);
   w.put_u32(static_cast<u32>(ways_.size()));
-  for (const Way& way : ways_) {
+  // Sparse way list. lru_clock_ starts at 1 and fill() stamps every line it
+  // installs (read/write only touch resident lines, and invalidation keeps
+  // the stamp), so a way whose stamp is still 0 has never been filled and
+  // holds exactly its constructor state: invalid, clean, tag 0, zero words
+  // and check bits. Only the stamped ways are written, in ascending index
+  // order, after their count (patched in once known).
+  const std::size_t count_at = w.size();
+  w.put_u32(0);
+  u32 live = 0;
+  for (u32 i = 0; i < ways_.size(); ++i) {
+    const Way& way = ways_[i];
+    if (way.lru_stamp == 0) continue;
+    ++live;
+    w.put_u32(i);
     w.put_u8(way.valid ? 1 : 0);
     w.put_u8(way.dirty ? 1 : 0);
     w.put_u32(way.tag_addr);
@@ -358,25 +372,68 @@ void SetAssocCache::save_state(service::ByteWriter& w) const {
     w.put_u32_block(way.words.data(), way.words.size());
     w.put_u16_block(way.check.data(), way.check.size());
   }
+  w.patch_u32(count_at, live);
   stats_.save_state(w);
 }
 
 void SetAssocCache::restore_state(service::ByteReader& r) {
+  const auto malformed = [&](const std::string& why) {
+    return service::WireError("snapshot: cache \"" + cfg_.name + "\" " + why);
+  };
   lru_clock_ = r.get_u64();
   const u32 n = r.get_u32();
-  if (n != ways_.size()) {
-    throw service::WireError("snapshot: cache \"" + cfg_.name +
-                             "\" geometry mismatch");
+  if (n != ways_.size()) throw malformed("geometry mismatch");
+  const u32 live = r.get_u32();
+  if (live > n) {
+    throw malformed("lists " + std::to_string(live) + " filled ways of " +
+                    std::to_string(n));
   }
+  // Every way ends in the blob's state: a listed way is overwritten field
+  // by field, and any other way goes back to the constructor state. Ways
+  // with stamp 0 are in that state already (see save_state), so only the
+  // stamped ones need the reset. A listed way must carry a nonzero stamp,
+  // or the restored array would break that invariant.
   const u32 nwords = cfg_.line_bytes / 4;
-  for (Way& way : ways_) {
-    way.valid = r.get_u8() != 0;
-    way.dirty = r.get_u8() != 0;
-    way.tag_addr = r.get_u32();
-    way.lru_stamp = r.get_u64();
+  u32 next = 0;  // ways below this index are done
+  const auto reset_until = [&](u32 end) {
+    for (; next < end; ++next) {
+      Way& way = ways_[next];
+      if (way.lru_stamp == 0) continue;
+      way.valid = false;
+      way.dirty = false;
+      way.tag_addr = 0;
+      way.lru_stamp = 0;
+      std::fill(way.words.begin(), way.words.end(), 0u);
+      std::fill(way.check.begin(), way.check.end(), u16{0});
+    }
+  };
+  for (u32 k = 0; k < live; ++k) {
+    const u32 i = r.get_u32();
+    if (i >= n) {
+      throw malformed("way index " + std::to_string(i) + " is out of range");
+    }
+    if (i < next) {
+      throw malformed("way index " + std::to_string(i) +
+                      " is not strictly ascending");
+    }
+    const bool valid = r.get_u8() != 0;
+    const bool dirty = r.get_u8() != 0;
+    const Addr tag_addr = r.get_u32();
+    const u64 stamp = r.get_u64();
+    if (stamp == 0) {
+      throw malformed("way " + std::to_string(i) + " is listed with stamp 0");
+    }
+    reset_until(i);
+    Way& way = ways_[i];
+    way.valid = valid;
+    way.dirty = dirty;
+    way.tag_addr = tag_addr;
+    way.lru_stamp = stamp;
     r.get_u32_block(way.words.data(), nwords);
     r.get_u16_block(way.check.data(), nwords);
+    next = i + 1;
   }
+  reset_until(n);
   live_ = Counters{};
   flushed_ = Counters{};
   stats_.restore_state(r);

@@ -243,10 +243,12 @@ class SetAssocCache {
   }
 
   /// Snapshot support: serialize/restore the array's full deterministic
-  /// state (ways, LRU clock, folded stat counters). Codec wiring, injector
-  /// and recorder attachments are NOT covered — the restore target must be
-  /// constructed from the same CacheConfig, and attachments are re-made by
-  /// the caller afterwards. Throws service::WireError on geometry mismatch.
+  /// state (LRU clock, folded stat counters, and every way ever filled —
+  /// ways never filled are still in their constructor state and are not
+  /// written). Codec wiring, injector and recorder attachments are NOT
+  /// covered — the restore target must be constructed from the same
+  /// CacheConfig, and attachments are re-made by the caller afterwards.
+  /// Throws service::WireError on geometry mismatch or a malformed way list.
   void save_state(service::ByteWriter& w) const;
   void restore_state(service::ByteReader& r);
 

@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/log.hpp"
@@ -406,20 +407,29 @@ int run_daemon(const ServeOptions& opts) {
   return 0;
 }
 
-SubmitSummary submit_job(const std::string& socket_path,
-                         const CampaignJob& job, report::RowWriter& rows) {
+DaemonConnection::DaemonConnection(const std::string& socket_path) {
   Fd fd = connect_to(socket_path);
   const Frame hello = read_frame(fd.fd);
   if (hello.type != FrameType::kHello) {
     throw WireError("daemon did not greet with a hello frame");
   }
   check_hello(hello.payload);
-  write_frame(fd.fd, FrameType::kSubmit, serialize_job(job));
+  std::swap(fd_, fd.fd);
+}
+
+DaemonConnection::~DaemonConnection() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+SubmitSummary submit_job(DaemonConnection daemon, const CampaignJob& job,
+                         report::RowWriter& rows) {
+  const int fd = daemon.fd();
+  write_frame(fd, FrameType::kSubmit, serialize_job(job));
 
   SubmitSummary sum;
   bool begun = false;
   for (;;) {
-    const Frame f = read_frame(fd.fd);
+    const Frame f = read_frame(fd);
     switch (f.type) {
       case FrameType::kRowHeader:
         rows.begin(decode_string_list(f.payload));
@@ -446,25 +456,15 @@ SubmitSummary submit_job(const std::string& socket_path,
 }
 
 void request_shutdown(const std::string& socket_path) {
-  Fd fd = connect_to(socket_path);
-  const Frame hello = read_frame(fd.fd);
-  if (hello.type != FrameType::kHello) {
-    throw WireError("daemon did not greet with a hello frame");
-  }
-  check_hello(hello.payload);
-  write_frame(fd.fd, FrameType::kShutdown, {});
-  (void)read_frame(fd.fd);  // wait for the kDone acknowledgement
+  const DaemonConnection daemon(socket_path);
+  write_frame(daemon.fd(), FrameType::kShutdown, {});
+  (void)read_frame(daemon.fd());  // wait for the kDone acknowledgement
 }
 
 DaemonStatus request_status(const std::string& socket_path) {
-  Fd fd = connect_to(socket_path);
-  const Frame hello = read_frame(fd.fd);
-  if (hello.type != FrameType::kHello) {
-    throw WireError("daemon did not greet with a hello frame");
-  }
-  check_hello(hello.payload);
-  write_frame(fd.fd, FrameType::kStatus, {});
-  const Frame reply = read_frame(fd.fd);
+  const DaemonConnection daemon(socket_path);
+  write_frame(daemon.fd(), FrameType::kStatus, {});
+  const Frame reply = read_frame(daemon.fd());
   if (reply.type == FrameType::kError) {
     throw std::runtime_error("daemon: " + reply.payload);
   }
@@ -482,7 +482,15 @@ int run_daemon(const ServeOptions&) {
       "lacks");
 }
 
-SubmitSummary submit_job(const std::string&, const CampaignJob&,
+DaemonConnection::DaemonConnection(const std::string&) {
+  throw std::runtime_error(
+      "the campaign daemon needs Unix-domain sockets, which this platform "
+      "lacks");
+}
+
+DaemonConnection::~DaemonConnection() = default;
+
+SubmitSummary submit_job(DaemonConnection, const CampaignJob&,
                          report::RowWriter&) {
   throw std::runtime_error(
       "the campaign daemon needs Unix-domain sockets, which this platform "

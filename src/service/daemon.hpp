@@ -49,12 +49,33 @@ struct SubmitSummary {
   u64 failures = 0;
 };
 
-/// Submit a campaign job to a daemon and stream its rows into `rows`
-/// (begin/row/end called exactly as a local run would). Throws
-/// std::runtime_error / WireError on connection or protocol failure, or
-/// when the daemon rejects the job (kError).
-SubmitSummary submit_job(const std::string& socket_path,
-                         const CampaignJob& job, report::RowWriter& rows);
+/// A connection to a daemon that has greeted with a compatible hello.
+/// Connecting is separate from submitting so a client can refuse a
+/// missing or incompatible daemon before it opens (and truncates) its
+/// output. Move-only; closes the socket on destruction.
+class DaemonConnection {
+ public:
+  /// Connect and check the hello. Throws std::runtime_error / WireError
+  /// when no daemon listens at `socket_path` or its hello does not match.
+  explicit DaemonConnection(const std::string& socket_path);
+  DaemonConnection(DaemonConnection&& o) noexcept : fd_(o.fd_) { o.fd_ = -1; }
+  DaemonConnection(const DaemonConnection&) = delete;
+  DaemonConnection& operator=(const DaemonConnection&) = delete;
+  DaemonConnection& operator=(DaemonConnection&&) = delete;
+  ~DaemonConnection();
+
+  [[nodiscard]] int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
+};
+
+/// Submit a campaign job over `daemon` (one job per connection) and
+/// stream its rows into `rows` (begin/row/end called exactly as a local
+/// run would). Throws std::runtime_error / WireError on protocol failure,
+/// or when the daemon rejects the job (kError).
+SubmitSummary submit_job(DaemonConnection daemon, const CampaignJob& job,
+                         report::RowWriter& rows);
 
 /// Ask a daemon to shut down (waits for acknowledgement).
 void request_shutdown(const std::string& socket_path);

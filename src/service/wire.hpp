@@ -83,6 +83,24 @@ class ByteWriter {
     }
   }
 
+  /// Raw bytes with no length prefix (a frame's fixed magic).
+  void put_bytes(std::string_view s) { buf_.append(s.data(), s.size()); }
+
+  /// Overwrite the u32/u64 written at byte offset `pos` (a size() taken
+  /// before the put): fills in a count or checksum that is only known once
+  /// the data after it has been written, without a second buffer.
+  void patch_u32(std::size_t pos, u32 v) {
+    for (int i = 0; i < 4; ++i) {
+      buf_[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  }
+  void patch_u64(std::size_t pos, u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      buf_[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
 

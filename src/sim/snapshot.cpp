@@ -15,13 +15,14 @@ namespace {
 // mixed-up file path fails loudly rather than parsing as garbage.
 constexpr char kMagic[8] = {'L', 'A', 'E', 'C', 'S', 'N', 'P', '1'};
 
+}  // namespace
+
 // FNV-1a folded over 8-byte little-endian chunks instead of single bytes
 // (tail bytes one at a time). NOT the canonical byte-wise service::fnv1a —
 // this frame has its own checksum definition, pinned by kSnapshotVersion.
-// The golden run serializes hundreds of half-megabyte snapshots; a
-// byte-at-a-time hash was the single largest capture cost, and corruption
-// detection only needs mixing, not the canonical constant walk.
-u64 chunked_fnv1a(std::string_view data) {
+// The golden run serializes hundreds of snapshots per pass; corruption
+// detection only needs mixing, not the canonical byte-at-a-time walk.
+u64 snapshot_checksum(std::string_view data) {
   u64 h = 1469598103934665603ull;
   const std::size_t whole = data.size() / 8;
   const char* p = data.data();
@@ -45,22 +46,18 @@ u64 chunked_fnv1a(std::string_view data) {
   return h;
 }
 
-}  // namespace
-
 std::string save_system_state(const System& system) {
-  service::ByteWriter payload;
-  system.save_state(payload);
-
-  service::ByteWriter head;
-  head.put_u32(kSnapshotVersion);
-  head.put_u64(chunked_fnv1a(payload.bytes()));
-
-  std::string out;
-  out.reserve(sizeof(kMagic) + head.bytes().size() + payload.bytes().size());
-  out.append(kMagic, sizeof(kMagic));
-  out += head.bytes();
-  out += payload.bytes();
-  return out;
+  // One buffer: the checksum slot is written as 0 and patched once the
+  // payload after it is complete.
+  service::ByteWriter w;
+  w.put_bytes(std::string_view(kMagic, sizeof(kMagic)));
+  w.put_u32(kSnapshotVersion);
+  const std::size_t checksum_at = w.size();
+  w.put_u64(0);
+  system.save_state(w);
+  w.patch_u64(checksum_at, snapshot_checksum(std::string_view(w.bytes()).substr(
+                               checksum_at + sizeof(u64))));
+  return w.take();
 }
 
 void restore_system_state(System& system, std::string_view blob) {
@@ -78,7 +75,7 @@ void restore_system_state(System& system, std::string_view blob) {
   const u64 checksum = head.get_u64();
   const std::string_view payload =
       blob.substr(sizeof(kMagic) + sizeof(u32) + sizeof(u64));
-  if (chunked_fnv1a(payload) != checksum) {
+  if (snapshot_checksum(payload) != checksum) {
     throw service::WireError("snapshot: checksum mismatch (corrupt blob)");
   }
   service::ByteReader r(payload);

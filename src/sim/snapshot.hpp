@@ -18,10 +18,18 @@
 // that the constructor re-derives from the config (codecs, LUTs, hot
 // counter pointers) and the injector/recorder attachments, which the
 // resume path re-attaches after restore.
+//
+// Version 2 writes each cache array sparsely: only the ways the run has
+// filled (nonzero LRU stamp), each with its index. A way never filled is
+// in its constructor state, which restore re-creates for every way the
+// blob does not list, so a blob is exact whatever the target system ran
+// before. A small-DL1 kernel fills a few hundred of the L2's 8192 ways,
+// so a blob is tens of KB where a dump of every way would be ~560 KB.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -33,17 +41,23 @@ class System;
 /// Bumped whenever the serialized layout changes; restore rejects blobs
 /// from any other version. Part of the service-job identity so a daemon
 /// never resumes a campaign across a layout change.
-inline constexpr u32 kSnapshotVersion = 1;
+inline constexpr u32 kSnapshotVersion = 2;
 
 /// Serialize the full deterministic state of `system` into a framed blob
 /// (magic + version + checksum + payload). Throws std::logic_error when the
 /// system holds state the format cannot carry (chronogram recording on).
 [[nodiscard]] std::string save_system_state(const System& system);
 
+/// The frame's checksum over `payload`, the bytes after magic, version and
+/// checksum. Exposed so a test that patches a blob on purpose can re-seal
+/// it and reach the structural checks behind the checksum.
+[[nodiscard]] u64 snapshot_checksum(std::string_view payload);
+
 /// Restore a blob produced by save_system_state into `system`, which must
 /// have been constructed from the same configuration (geometry mismatches
 /// are detected and rejected). Throws service::WireError on bad magic,
-/// version mismatch, checksum mismatch, or layout/geometry mismatch.
+/// version mismatch, checksum mismatch, layout/geometry mismatch, or a
+/// malformed sparse way list.
 void restore_system_state(System& system, std::string_view blob);
 
 /// Budgeted store of golden-run snapshots, ordered by consultation ordinal.

@@ -299,6 +299,20 @@ TEST(CampaignJob, ParseRejectsEveryOutOfRangeField) {
            [](CampaignJob& j) { j.spec.base.div_latency = 0; }},
           {"mul latency 0",
            [](CampaignJob& j) { j.spec.base.mul_latency = 0; }},
+          {"div latency > bound",
+           [](CampaignJob& j) { j.spec.base.div_latency = 4'000'000'000u; }},
+          {"mul latency > bound",
+           [](CampaignJob& j) { j.spec.base.mul_latency = 4097; }},
+          {"memory latency > bound",
+           [](CampaignJob& j) { j.spec.base.memory_cycles = 1u << 20; }},
+          {"bus request latency > bound",
+           [](CampaignJob& j) { j.spec.base.bus_request_cycles = 4097; }},
+          {"bus response latency > bound",
+           [](CampaignJob& j) { j.spec.base.bus_response_cycles = 4097; }},
+          {"l2 hit latency > bound",
+           [](CampaignJob& j) { j.spec.base.l2_hit_cycles = 4097; }},
+          {"l2 write latency > bound",
+           [](CampaignJob& j) { j.spec.base.l2_write_cycles = 4097; }},
           {"cores 0", [](CampaignJob& j) { j.spec.base.num_cores = 0; }},
           {"cores > bound",
            [](CampaignJob& j) { j.spec.base.num_cores = 1u << 20; }},
@@ -405,7 +419,7 @@ std::string local_csv(const CampaignJob& job, unsigned shard_index = 0,
 std::string submit_csv(const std::string& socket_path, CampaignJob job) {
   std::ostringstream out;
   report::CsvWriter w(out);
-  (void)submit_job(socket_path, job, w);
+  (void)submit_job(DaemonConnection(socket_path), job, w);
   return out.str();
 }
 
@@ -450,7 +464,7 @@ TEST(Daemon, RejectsJobsWithUnknownSchemeOrWorkload) {
   job.cells[0].workload = "no-such-kernel";
   std::ostringstream out;
   report::CsvWriter w(out);
-  EXPECT_THROW((void)submit_job(daemon.socket_path, job, w),
+  EXPECT_THROW((void)submit_job(DaemonConnection(daemon.socket_path), job, w),
                std::runtime_error);
   // The daemon survives a rejected job and still serves good ones.
   EXPECT_EQ(submit_csv(daemon.socket_path, sample_job()),
@@ -467,7 +481,7 @@ TEST(Daemon, RejectsOutOfRangeJobAndKeepsServing) {
   std::ostringstream out;
   report::CsvWriter w(out);
   try {
-    (void)submit_job(daemon.socket_path, bad, w);
+    (void)submit_job(DaemonConnection(daemon.socket_path), bad, w);
     ADD_FAILURE() << "an out-of-range job was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("job rejected"), std::string::npos)

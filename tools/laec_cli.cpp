@@ -329,9 +329,9 @@ const Flag kFlags[] = {
      store<&CliOptions::cfg, &Cfg::dl1_ways>},
     {"--wbuf", Arg::kValue, "N", kMachine, "write-buffer entries: 1 to 1024",
      store<&CliOptions::cfg, &Cfg::write_buffer_depth>},
-    {"--div", Arg::kValue, "N", kMachine, "divide latency: at least 1 cycle",
+    {"--div", Arg::kValue, "N", kMachine, "divide latency: 1 to 4096 cycles",
      store<&CliOptions::cfg, &Cfg::div_latency>},
-    {"--mem", Arg::kValue, "N", kMachine, "main-memory latency in cycles",
+    {"--mem", Arg::kValue, "N", kMachine, "main-memory latency: 0 to 4096 cycles",
      store<&CliOptions::cfg, &Cfg::memory_cycles>},
     {"--inject-target", Arg::kValue, "dl1|l1i|l2", kMachine,
      "which cache array the storm strikes (outside campaigns it needs an "
@@ -1131,10 +1131,13 @@ int cmd_submit(const CliOptions& o) {
   const auto job = build_campaign_inputs(o);
   if (!job.has_value()) return 2;
 
+  // Reach the daemon before opening --out, so a refused connection
+  // leaves an existing file as it was.
+  service::DaemonConnection daemon(o.socket_path);
   OutputTarget target;
   if (!target.open(o)) return 2;
   const auto summary =
-      service::submit_job(o.socket_path, *job, *target.writer);
+      service::submit_job(std::move(daemon), *job, *target.writer);
   if (const int rc = target.finish(); rc != 0) return rc;
   std::fprintf(stderr,
                "submit: %llu cells, %llu trials, %llu failing trials "
